@@ -91,14 +91,17 @@ class TpgState:
             for the Figure 2 walkthrough and the implication-strength
             ablation benchmark.
         fusion: ``"interp"`` dispatches forward evaluations through
-            ``Algebra.forward`` and backward implications through
-            ``Algebra.backward`` (the oracle path); anything else
-            installs the per-signal compiled forward *and* backward
-            tables of :mod:`repro.kernel.codegen` — branch-free
-            bodies specialized per (gate code, arity) with the
-            backward prefix/suffix-product chains fully unrolled,
-            bit-identical by construction and asserted so in the test
-            suite.
+            ``Algebra.forward``, backward implications through
+            ``Algebra.backward`` and justification through
+            ``Algebra.unjustified`` (the oracle path); anything else
+            installs the per-signal fused step table of
+            :mod:`repro.kernel.codegen` — one compiled body per
+            (gate code, arity) that performs a whole gate visit
+            (forward rule, merge, unrolled backward chain, fanin
+            merges) in one call — and its compiled justification
+            bodies.  Both tables are built once per circuit and
+            algebra; the engine state they produce is bit-identical
+            to the oracle's, asserted so in the test suite.
     """
 
     def __init__(
@@ -128,17 +131,17 @@ class TpgState:
         self._trail: List[Tuple[int, Planes]] = []
         self._marks: List[Tuple[int, int]] = []
         self.implication_passes = 0
-        self.assignments = 0
-        self._forward_fns: Optional[List] = None
-        self._backward_fns: Optional[List] = None
+        self._four = algebra.n_planes == 4
+        self._steps: Optional[List] = None
+        self._unjust_fns: Optional[List] = None
         if fusion != "interp":
             from ..kernel.codegen import (  # lazy: keep core light
-                backward_table,
-                forward_table,
+                step_table,
+                unjustified_table,
             )
 
-            self._forward_fns = forward_table(self.compiled, algebra.name)
-            self._backward_fns = backward_table(self.compiled, algebra.name)
+            self._steps = step_table(self.compiled, algebra.name, use_backward)
+            self._unjust_fns = unjustified_table(self.compiled, algebra.name)
         # justification cache: raw unjustified lane mask per signal
         # (conflict filtering applied at query time) plus the dirty
         # set of signals whose planes changed since the last refresh —
@@ -157,24 +160,41 @@ class TpgState:
         :attr:`conflict_mask` immediately.
         """
         old = self.planes[signal]
-        new = tuple((o | a) & self.mask for o, a in zip(old, additions))
+        mask = self.mask
+        if self._four:
+            z, o, s, i = old
+            az, ao, as_, ai = additions
+            new: Planes = (
+                (z | az) & mask,
+                (o | ao) & mask,
+                (s | as_) & mask,
+                (i | ai) & mask,
+            )
+        else:
+            z, o = old
+            az, ao = additions
+            new = ((z | az) & mask, (o | ao) & mask)
         if new == old:
             return False
         self._trail.append((signal, old))
-        self.planes[signal] = new  # type: ignore[assignment]
-        clash = self.algebra.conflict(new)  # type: ignore[arg-type]
-        fresh = clash & ~self.conflict_mask
-        if fresh:
-            self.conflict_mask |= clash
-            lane = 0
-            while fresh:
-                if fresh & 1 and lane not in self.conflict_sites:
-                    self.conflict_sites[lane] = signal
-                fresh >>= 1
-                lane += 1
-        self.assignments += 1
+        self.planes[signal] = new
+        clash = self.algebra.conflict(new)
+        if clash & ~self.conflict_mask:
+            self._record_conflict(signal, clash)
         self._enqueue_around(signal)
         return True
+
+    def _record_conflict(self, signal: int, clash: int) -> None:
+        """Fold *signal*'s conflict lanes into the mask; the first
+        signal to conflict in a lane becomes that lane's site."""
+        fresh = clash & ~self.conflict_mask
+        self.conflict_mask |= clash
+        lane = 0
+        while fresh:
+            if fresh & 1 and lane not in self.conflict_sites:
+                self.conflict_sites[lane] = signal
+            fresh >>= 1
+            lane += 1
 
     def mark(self) -> int:
         """Open a checkpoint; returns a token for :meth:`rollback`."""
@@ -227,7 +247,49 @@ class TpgState:
         implications into the inputs — all lanes at once.  Stops early
         if every lane is already conflicted.  Gate structure is read
         from the compiled kernel arrays, not the object graph.
+
+        With the fused step table each gate visit is one call; this
+        loop only books the signals that call changed (conflict lanes
+        and sites, the dirty set, the worklist), in the order the
+        interpreted ``assign`` sequence would have booked them.
         """
+        steps = self._steps
+        if steps is None:
+            return self._imply_interp(stop_when_all_conflicted)
+        fanins = self.compiled.py_fanin
+        planes = self.planes
+        mask = self.mask
+        trail = self._trail
+        clashes: List[Tuple[int, int]] = []
+        queue = self._queue
+        queued = self._queued
+        enqueue_around = self._enqueue_around
+        passes = 0
+        while queue:
+            if stop_when_all_conflicted and self.conflict_mask == mask:
+                self._drain_queue()
+                break
+            signal = queue.popleft()
+            queued[signal] = False
+            step = steps[signal]
+            if step is None:  # primary input
+                continue
+            passes += 1
+            changed = step(planes, signal, fanins[signal], mask, trail, clashes)
+            if not changed:
+                continue
+            if clashes:
+                for site, clash in clashes:
+                    if clash & ~self.conflict_mask:
+                        self._record_conflict(site, clash)
+                clashes.clear()
+            for site, _old in trail[-changed:]:
+                enqueue_around(site)
+        self.implication_passes += passes
+        return self.conflict_mask
+
+    def _imply_interp(self, stop_when_all_conflicted: bool) -> int:
+        """:meth:`imply` through ``Algebra.forward``/``backward`` (oracle)."""
         compiled = self.compiled
         gate_types = compiled.gate_types
         fanins = compiled.py_fanin
@@ -236,8 +298,6 @@ class TpgState:
         mask = self.mask
         forward = self.algebra.forward
         backward = self.algebra.backward
-        forward_fns = self._forward_fns
-        backward_fns = self._backward_fns
         while self._queue:
             if stop_when_all_conflicted and self.conflict_mask == mask:
                 self._drain_queue()
@@ -250,17 +310,9 @@ class TpgState:
             gate_type = gate_types[signal]
             fanin = fanins[signal]
             ins = [planes[f] for f in fanin]
-            if forward_fns is None:
-                fwd = forward(gate_type, ins, mask)
-            else:
-                fwd = forward_fns[signal](ins, mask)
-            self.assign(signal, fwd)
+            self.assign(signal, forward(gate_type, ins, mask))
             if self.use_backward:
-                out = planes[signal]
-                if backward_fns is None:
-                    adds = backward(gate_type, out, ins, mask)
-                else:
-                    adds = backward_fns[signal](out, ins, mask)
+                adds = backward(gate_type, planes[signal], ins, mask)
                 for fanin_signal, add in zip(fanin, adds):
                     self.assign(fanin_signal, add)
         return self.conflict_mask
@@ -272,13 +324,14 @@ class TpgState:
         — one walk of the fanout list serves both bookkeeping jobs.
         """
         queued = self._queued
+        fanout = self.compiled.py_fanout[signal]
         dirty = self._dirty
         dirty.add(signal)
+        dirty.update(fanout)
         if not queued[signal] and not self.compiled.is_input[signal]:
             queued[signal] = True
             self._queue.append(signal)
-        for f in self.compiled.py_fanout[signal]:
-            dirty.add(f)
+        for f in fanout:
             if not queued[f]:
                 queued[f] = True
                 self._queue.append(f)
@@ -312,13 +365,21 @@ class TpgState:
         if not dirty:
             return
         compiled = self.compiled
-        is_input = compiled.is_input
         fanins = compiled.py_fanin
-        gate_types = compiled.gate_types
         planes = self.planes
         mask = self.mask
-        unjustified = self.algebra.unjustified
         cache = self._unjust
+        fns = self._unjust_fns
+        if fns is not None:
+            for signal in dirty:
+                fn = fns[signal]
+                if fn is not None:  # primary inputs are always justified
+                    cache[signal] = fn(planes, signal, fanins[signal], mask)
+            dirty.clear()
+            return
+        is_input = compiled.is_input
+        gate_types = compiled.gate_types
+        unjustified = self.algebra.unjustified
         for signal in dirty:
             if is_input[signal]:
                 continue

@@ -20,16 +20,20 @@ Five generators live here:
 * :func:`planes10_fn` — the full 10-valued forward pass: the 7-valued
   plane math plus the hazard-free plane of
   :mod:`repro.logic.ten_valued`, inlined per gate.
-* :func:`forward_table` — per-signal specialized forward functions
-  for the TPG implication engine: ``imply()`` pops one gate at a time
-  (worklist order, not plan order), so instead of a straight line it
-  gets a table of per-(code, arity) compiled bodies that replace the
-  ``Algebra.forward`` dispatch chain.  Supports both the 3-valued and
+* :func:`step_table` — the TPG implication engine's table.
+  ``imply()`` pops one gate at a time (worklist order, not plan
+  order), so instead of a straight line it gets one fused step body
+  per (algebra, code, arity): fanin reads, the inlined forward rule,
+  the merge into the output, the unrolled backward prefix/suffix
+  chains and the fanin merges, all in one call that returns only
+  which signals changed.  Built once per circuit and algebra and
+  memoized on the :class:`CompiledCircuit`; :func:`unjustified_table`
+  is its justification counterpart.  Supports both the 3-valued and
   the 7-valued algebra.
-* :func:`backward_table` — the same treatment for the backward half
-  of ``imply()``: per-(code, arity) compiled bodies with the
-  ``Algebra.backward`` prefix/suffix-product chains fully unrolled
-  (no list building, no per-position Python loop).
+* :func:`forward_table` / :func:`backward_table` — the forward and
+  backward halves of a step as separate per-signal functions with the
+  ``Algebra.forward`` / ``Algebra.backward`` contracts, for callers
+  that hold their own plane lists.
 * :func:`cone_fault_fn` — per-fault-site compiled stuck-at cone
   resimulation: the site's transitive fanout cone rendered as one
   straight-line body that forces the site, re-evaluates only cone
@@ -386,13 +390,322 @@ def planes10_fn(compiled: CompiledCircuit) -> Callable:
 
 
 # ---------------------------------------------------------------------------
-# per-gate forward functions (the TPG implication engine's table)
+# backward emitters (the TPG implication engine's unique implications)
 # ---------------------------------------------------------------------------
+#
+# ``Algebra.backward`` computes the unique backward implications of one
+# gate with prefix/suffix products over the fanin planes (list-built,
+# one Python loop per direction per call).  The emitters below unroll
+# those chains for one fixed (code, arity) into straight-line lines.
+# The value-plane swaps the interpreted dispatchers apply for
+# OR/NOR/NAND/XNOR are applied to the plane *names* handed to the
+# AND/XOR core, so the emitted math is literally the core of the
+# interpreted rules and the swaps cost nothing at run time.
 
-#: (algebra name, code, arity) -> compiled forward function.  Shared
-#: process-wide: the bodies depend only on gate code and arity, never
-#: on the circuit, so every TpgState reuses them.
-_FORWARD_CACHE: dict = {}
+_SWAP_OUT = (CODE_NAND, CODE_OR, CODE_XNOR)  # core sees swapped output planes
+_SWAP_IN = (CODE_OR, CODE_NOR)  # core sees swapped input value planes
+
+#: Per-fanin addition expressions, in the algebra's plane order.
+Additions = List[Tuple[str, ...]]
+
+
+def _emit_others(
+    lines: List[str], tag: str, terms: Sequence[str], op: str = "&"
+) -> List[Optional[str]]:
+    """Fold of every term but the k-th, for each k, by prefix/suffix.
+
+    Composite terms are bound once (``_<tag>t<k>``); prefix folds are
+    ``_<tag>p<k>``, suffix folds ``_<tag>q<k>``.  ``None`` marks an
+    empty fold (a single-input gate), the identity of *op*.
+    """
+    n = len(terms)
+    names = []
+    for k, term in enumerate(terms):
+        if term.isidentifier():
+            names.append(term)
+        else:
+            lines.append(f"_{tag}t{k} = {term}")
+            names.append(f"_{tag}t{k}")
+    pre: List[Optional[str]] = [None, names[0]]
+    for k in range(1, n - 1):
+        lines.append(f"_{tag}p{k + 1} = {pre[k]} {op} {names[k]}")
+        pre.append(f"_{tag}p{k + 1}")
+    suf: List[Optional[str]] = [None] * (n + 1)
+    suf[n - 1] = names[n - 1]
+    for k in range(n - 2, 0, -1):
+        lines.append(f"_{tag}q{k} = {names[k]} {op} {suf[k + 1]}")
+        suf[k] = f"_{tag}q{k}"
+    others = []
+    for k in range(n):
+        parts = [p for p in (pre[k], suf[k + 1]) if p is not None]
+        others.append(f" {op} ".join(parts) if parts else None)
+    return others
+
+
+def _and(*parts: Optional[str]) -> str:
+    """AND of the non-empty *parts*; an empty AND is the lane mask."""
+    present = [p for p in parts if p is not None]
+    return " & ".join(present) if present else "mask"
+
+
+def _emit_backward7(
+    code: int, ins: Sequence[PlaneNames], outs: PlaneNames
+) -> Tuple[List[str], Additions]:
+    """One 7-valued backward block: its lines and per-fanin additions.
+
+    *ins* / *outs* name the (zero, one, stable, instable) planes of the
+    fanins and of the output, exactly as :func:`_emit_planes7` takes
+    them; scratch names start with an underscore.
+    """
+    oz, oo, os_, oi = outs
+    if code == CODE_BUF:
+        return [], [outs]
+    if code == CODE_NOT:
+        return [], [(oo, oz, os_, oi)]
+    if code in _SWAP_OUT:
+        oz, oo = oo, oz
+    swap_in = code in _SWAP_IN
+    if swap_in:
+        ins = [(o, z, s, i) for z, o, s, i in ins]
+    lines: List[str] = []
+    adds: Additions = []
+    if code in _AND_FAMILY or code in _OR_FAMILY:
+        ones = _emit_others(lines, "1", [o for _z, o, _s, _i in ins])
+        cant_s0 = _emit_others(lines, "2", [f"{o} | {i}" for _z, o, _s, i in ins])
+        stable = _emit_others(lines, "3", [s for _z, _o, s, _i in ins])
+        lines.append(f"_s1 = {oo} & {os_}")
+        lines.append(f"_n0 = {oz} & {os_}")
+        lines.append(f"_fa = {oz} & {oi}")
+        lines.append(f"_ri = {oo} & {oi}")
+        for k, (z, o, _s, _i) in enumerate(ins):
+            lines.append(f"_m{k} = {_and('_n0', cant_s0[k])}")
+            lines.append(f"_az{k} = ({_and(oz, ones[k])}) | _m{k}")
+            lines.append(f"_as{k} = _s1 | _m{k} | (_fa & {o})")
+            lines.append(f"_ai{k} = (_fa & {z}) | ({_and('_ri', stable[k])})")
+            if swap_in:
+                adds.append((oo, f"_az{k}", f"_as{k}", f"_ai{k}"))
+            else:
+                adds.append((f"_az{k}", oo, f"_as{k}", f"_ai{k}"))
+        return lines, adds
+    # XOR family
+    known = _emit_others(lines, "k", [f"{z} | {o}" for z, o, _s, _i in ins])
+    parity = _emit_others(lines, "p", [o for _z, o, _s, _i in ins], "^")
+    stable = _emit_others(lines, "s", [s for _z, _o, s, _i in ins])
+    lines.append(f"_ok = {oz} | {oo}")
+    for k in range(len(ins)):
+        lines.append(f"_r{k} = {parity[k] or 0}")
+        lines.append(f"_a{k} = {_and(known[k], '_ok')}")
+        lines.append(f"_io{k} = (({oo} & ~_r{k}) | ({oz} & _r{k})) & _a{k}")
+        lines.append(f"_iz{k} = (({oo} & _r{k}) | ({oz} & ~_r{k})) & _a{k}")
+        lines.append(f"_ai{k} = {_and(oi, stable[k])}")
+        adds.append((f"_iz{k}", f"_io{k}", os_, f"_ai{k}"))
+    return lines, adds
+
+
+def _emit_backward3(
+    code: int, ins: Sequence[Tuple[str, str]], outs: Tuple[str, str]
+) -> Tuple[List[str], Additions]:
+    """One 3-valued backward block (two planes: zero, one)."""
+    a0, a1 = outs
+    if code == CODE_BUF:
+        return [], [outs]
+    if code == CODE_NOT:
+        return [], [(a1, a0)]
+    if code in _SWAP_OUT:
+        a0, a1 = a1, a0
+    swap_in = code in _SWAP_IN
+    if swap_in:
+        ins = [(o, z) for z, o in ins]
+    lines: List[str] = []
+    adds: Additions = []
+    if code in _AND_FAMILY or code in _OR_FAMILY:
+        ones = _emit_others(lines, "1", [o for _z, o in ins])
+        for k in range(len(ins)):
+            lines.append(f"_az{k} = {_and(a0, ones[k])}")
+            adds.append((a1, f"_az{k}") if swap_in else (f"_az{k}", a1))
+        return lines, adds
+    # XOR family
+    known = _emit_others(lines, "k", [f"{z} | {o}" for z, o in ins])
+    parity = _emit_others(lines, "p", [o for _z, o in ins], "^")
+    lines.append(f"_ok = {a0} | {a1}")
+    for k in range(len(ins)):
+        lines.append(f"_r{k} = {parity[k] or 0}")
+        lines.append(f"_a{k} = {_and(known[k], '_ok')}")
+        lines.append(f"_io{k} = (({a1} & ~_r{k}) | ({a0} & _r{k})) & _a{k}")
+        lines.append(f"_iz{k} = (({a1} & _r{k}) | ({a0} & ~_r{k})) & _a{k}")
+        adds.append((f"_iz{k}", f"_io{k}"))
+    return lines, adds
+
+
+#: algebra name -> (plane letters, forward emitter, backward emitter).
+#: Algebras without an entry keep the interpreted ``Algebra`` dispatch.
+_TPG_EMITTERS = {
+    "seven_valued": ("zosi", _emit_planes7, _emit_backward7),
+    "three_valued": ("zo", _emit_planes3, _emit_backward3),
+}
+
+
+def _fanin_names(algebra_name: str, n: int) -> List[Tuple[str, ...]]:
+    """Plane variable names of fanins ``0 .. n-1`` (``z0, o0, ...``)."""
+    letters = _TPG_EMITTERS[algebra_name][0]
+    return [tuple(f"{p}{k}" for p in letters) for k in range(n)]
+
+
+def _tuple_src(items: Sequence[str]) -> str:
+    joined = ", ".join(items)
+    return f"({joined},)" if len(items) == 1 else f"({joined})"
+
+
+def _render_forward(algebra_name: str, code: int, n: int) -> str:
+    """Source of ``_fwd(ins, mask) -> planes`` (``Algebra.forward``)."""
+    ins = _fanin_names(algebra_name, n)
+    outs = ("_rz", "_ro", "_rs", "_ri")[: len(ins[0])]
+    lines = ["def _fwd(ins, mask):"]
+    for k, names in enumerate(ins):
+        lines.append(f"    {', '.join(names)} = ins[{k}]")
+    body = _TPG_EMITTERS[algebra_name][1](code, ins, outs)
+    lines.extend("    " + line for line in body)
+    lines.append(f"    return {_tuple_src(outs)}")
+    return "\n".join(lines) + "\n"
+
+
+def _render_backward(algebra_name: str, code: int, n: int) -> str:
+    """Source of ``_bwd(out, ins, mask) -> additions``
+    (``Algebra.backward``)."""
+    ins = _fanin_names(algebra_name, n)
+    outs = ("oz", "oo", "os", "oi")[: len(ins[0])]
+    body, adds = _TPG_EMITTERS[algebra_name][2](code, ins, outs)
+    lines = ["def _bwd(out, ins, mask):", f"    {', '.join(outs)} = out"]
+    for k, names in enumerate(ins):
+        lines.append(f"    {', '.join(names)} = ins[{k}]")
+    lines.extend("    " + line for line in body)
+    lines.append(f"    return {_tuple_src([_tuple_src(add) for add in adds])}")
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# fused implication steps and justification bodies (the TPG engine's table)
+# ---------------------------------------------------------------------------
+#
+# ``TpgState.imply`` visits one gate at a time in worklist order.  A
+# step body does the whole visit in one call: it reads the fanin planes
+# from the state's plane list, evaluates the gate forward, ORs the
+# result into the output, runs the backward chain on the merged output
+# and ORs each fanin's additions in, fanin by fanin.  Each fanin
+# re-reads its planes before merging, so a gate reading one signal
+# twice merges both additions in order exactly like the interpreted
+# ``assign`` sequence.  Every signal that actually changes is appended
+# to the trail as ``(signal, old planes)`` and its conflict lanes, if it
+# has any, to *clashes* as ``(signal, lanes)``; the body returns how
+# many signals changed, and the engine does the rest of the bookkeeping.
+
+#: Names the merged output planes and a committed fanin's planes take.
+_MERGED = ("_mz", "_mo", "_ms", "_mi")
+_COMMIT = ("_cz", "_co", "_cs", "_ci")
+_OLD = ("_wz", "_wo", "_ws", "_wi")
+
+
+def _emit_commit(target: str, adds: Sequence[str], news: Sequence[str]) -> List[str]:
+    """OR *adds* into ``planes[target]``; record the change if any.
+
+    *news* names the merged planes, which stay bound afterwards.  The
+    merge skips ``TpgState.assign``'s ``& mask``: stored planes and the
+    additions computed from them are already confined to the lane mask.
+    The conflict lanes are the algebra's illegal plane pairs: zero &
+    one, and for the 7-valued logic also stable & instable.
+    """
+    olds = _OLD[: len(adds)]
+    lines = [f"_w = planes[{target}]", f"{', '.join(olds)} = _w"]
+    for new, old, add in zip(news, olds, adds):
+        lines.append(f"{new} = {old} | {add}")
+    clash = f"({news[0]} & {news[1]})"
+    if len(news) == 4:
+        clash += f" | ({news[2]} & {news[3]})"
+    changed = " or ".join(f"{new} != {old}" for new, old in zip(news, olds))
+    lines += [
+        f"if {changed}:",
+        f"    planes[{target}] = ({', '.join(news)})",
+        f"    trail.append(({target}, _w))",
+        f"    _c = {clash}",
+        "    if _c:",
+        f"        clashes.append(({target}, _c))",
+        "    _n += 1",
+    ]
+    return lines
+
+
+def _emit_fanin_reads(algebra_name: str, n: int) -> Tuple[List[str], List]:
+    """Lines binding ``f0..`` to the fanin ids and ``z0, o0, ..`` to
+    their planes; returns the lines and the plane names."""
+    ins = _fanin_names(algebra_name, n)
+    lines = [f"{', '.join(f'f{k}' for k in range(n))}, = fanin"]
+    lines += [f"{', '.join(names)} = planes[f{k}]" for k, names in enumerate(ins)]
+    return lines, ins
+
+
+def _render_step(algebra_name: str, code: int, n: int, use_backward: bool) -> str:
+    """Source of ``_step(planes, out, fanin, mask, trail, clashes)``."""
+    emit_forward, emit_backward = _TPG_EMITTERS[algebra_name][1:]
+    body, ins = _emit_fanin_reads(algebra_name, n)
+    width = len(ins[0])
+    forward = ("_fz", "_fo", "_fs", "_fi")[:width]
+    merged = _MERGED[:width]
+    body += emit_forward(code, ins, forward)
+    body.append("_n = 0")
+    body += _emit_commit("out", forward, merged)
+    if use_backward:
+        lines, adds = emit_backward(code, ins, merged)
+        body += lines
+        for k, add in enumerate(adds):
+            body += _emit_commit(f"f{k}", add, _COMMIT[:width])
+    body.append("return _n")
+    head = "def _step(planes, out, fanin, mask, trail, clashes):"
+    return "\n".join([head] + ["    " + line for line in body]) + "\n"
+
+
+def _render_unjustified(algebra_name: str, code: int, n: int) -> str:
+    """Source of ``_unj(planes, out, fanin, mask)``: the raw unjustified
+    lane mask, every assigned output bit the forward rule does not
+    reproduce (``Algebra.unjustified``)."""
+    emit_forward = _TPG_EMITTERS[algebra_name][1]
+    body, ins = _emit_fanin_reads(algebra_name, n)
+    width = len(ins[0])
+    forward = ("_fz", "_fo", "_fs", "_fi")[:width]
+    olds = _OLD[:width]
+    body += emit_forward(code, ins, forward)
+    body.append(f"{', '.join(olds)} = planes[out]")
+    miss = " | ".join(f"({old} & ~{f})" for old, f in zip(olds, forward))
+    body.append(f"return ({miss}) & mask")
+    head = "def _unj(planes, out, fanin, mask):"
+    return "\n".join([head] + ["    " + line for line in body]) + "\n"
+
+
+#: kind -> (renderer, function name) of the per-shape TPG bodies.
+_SHAPE_RENDERERS = {
+    "forward": (_render_forward, "_fwd"),
+    "backward": (_render_backward, "_bwd"),
+    "step": (lambda a, code, n: _render_step(a, code, n, True), "_step"),
+    "step_forward": (lambda a, code, n: _render_step(a, code, n, False), "_step"),
+    "unjustified": (_render_unjustified, "_unj"),
+}
+
+#: (kind, algebra name, code, arity) -> compiled body.  Shared
+#: process-wide: the bodies depend only on the gate shape, never on the
+#: circuit, so every circuit's tables reuse them.
+_SHAPE_CACHE: dict = {}
+
+
+def _shape_fn(kind: str, algebra_name: str, code: int, arity: int) -> Optional[Callable]:
+    if algebra_name not in _TPG_EMITTERS:
+        return None
+    key = (kind, algebra_name, code, arity)
+    fn = _SHAPE_CACHE.get(key)
+    if fn is None:
+        render, name = _SHAPE_RENDERERS[kind]
+        fn = _SHAPE_CACHE[key] = _compile_fn(
+            render(algebra_name, code, arity), name, ":".join(map(str, key))
+        )
+    return fn
 
 
 def gate_forward_fn(
@@ -406,209 +719,7 @@ def gate_forward_fn(
     folds.  Returns ``None`` for algebras without an emitter (callers
     fall back to the interpreted ``Algebra.forward``).
     """
-    key = (algebra_name, code, arity)
-    fn = _FORWARD_CACHE.get(key)
-    if fn is None:
-        if algebra_name == "seven_valued":
-            names = [(f"z{k}", f"o{k}", f"s{k}", f"i{k}") for k in range(arity)]
-            body = _emit_planes7(code, names, ("_rz", "_ro", "_rs", "_ri"))
-            ret = "(_rz, _ro, _rs, _ri)"
-        elif algebra_name == "three_valued":
-            names = [(f"z{k}", f"o{k}") for k in range(arity)]
-            body = _emit_planes3(code, names, ("_rz", "_ro"))
-            ret = "(_rz, _ro)"
-        else:
-            return None
-        lines = ["def _fwd(ins, mask):"]
-        for k, name_tuple in enumerate(names):
-            lines.append(f"    {', '.join(name_tuple)} = ins[{k}]")
-        lines.extend("    " + line for line in body)
-        lines.append(f"    return {ret}")
-        fn = _compile_fn(
-            "\n".join(lines) + "\n",
-            "_fwd",
-            f"forward:{algebra_name}:{code}:{arity}",
-        )
-        _FORWARD_CACHE[key] = fn
-    return fn
-
-
-def forward_table(
-    compiled: CompiledCircuit, algebra_name: str
-) -> Optional[List[Optional[Callable]]]:
-    """Per-signal forward functions for *algebra_name*, or ``None``.
-
-    Index-aligned with signal ids; primary inputs hold ``None`` (the
-    implication engine never evaluates them).  ``None`` overall means
-    the algebra has no emitter and the caller should keep the
-    interpreted dispatch.
-    """
-    if gate_forward_fn(algebra_name, CODE_BUF, 1) is None:
-        return None
-    codes = compiled.py_codes
-    fanins = compiled.py_fanin
-    return [
-        None
-        if is_input
-        else gate_forward_fn(algebra_name, codes[s], len(fanins[s]))
-        for s, is_input in enumerate(compiled.is_input)
-    ]
-
-
-# ---------------------------------------------------------------------------
-# per-gate backward functions (the implication engine's other half)
-# ---------------------------------------------------------------------------
-#
-# ``Algebra.backward`` computes the unique backward implications of one
-# gate with prefix/suffix products over the fanin planes (list-built,
-# one Python loop per direction per call).  The renderers below unroll
-# those chains for one fixed (code, arity) into straight-line bodies —
-# the same value-plane swaps the interpreted dispatchers apply for
-# OR/NOR/NAND/XNOR are performed at variable-bind time, so the emitted
-# math is literally the AND/XOR core of the interpreted rules.
-
-_SWAP_OUT = (CODE_NAND, CODE_OR, CODE_XNOR)  # core sees swapped output planes
-_SWAP_IN = (CODE_OR, CODE_NOR)  # core sees swapped input value planes
-
-
-def _render_backward7(code: int, n: int) -> str:
-    """Source of the 7-valued backward body for one (code, arity)."""
-    lines = ["def _bwd(out, ins, mask):"]
-    if code == CODE_BUF:
-        lines.append("    return (out,)")
-        return "\n".join(lines) + "\n"
-    if code == CODE_NOT:
-        lines.append("    oz, oo, os, oi = out")
-        lines.append("    return ((oo, oz, os, oi),)")
-        return "\n".join(lines) + "\n"
-    out_bind = "oo, oz, os, oi" if code in _SWAP_OUT else "oz, oo, os, oi"
-    lines.append(f"    {out_bind} = out")
-    for k in range(n):
-        in_bind = (
-            f"o{k}, z{k}, s{k}, i{k}" if code in _SWAP_IN else f"z{k}, o{k}, s{k}, i{k}"
-        )
-        lines.append(f"    {in_bind} = ins[{k}]")
-    swap_result = code in _SWAP_IN
-    if code in _AND_FAMILY or code in _OR_FAMILY:
-        lines.append("    _s1 = oo & os")
-        lines.append("    _n0 = oz & os")
-        lines.append("    _fa = oz & oi")
-        lines.append("    _ri = oo & oi")
-        lines.append("    _p1_0 = _p2_0 = _p3_0 = mask")
-        for k in range(n):
-            lines.append(f"    _p1_{k + 1} = _p1_{k} & o{k}")
-            lines.append(f"    _p2_{k + 1} = _p2_{k} & (o{k} | i{k})")
-            lines.append(f"    _p3_{k + 1} = _p3_{k} & s{k}")
-        lines.append(f"    _q1_{n} = _q2_{n} = _q3_{n} = mask")
-        for k in range(n - 1, -1, -1):
-            lines.append(f"    _q1_{k} = _q1_{k + 1} & o{k}")
-            lines.append(f"    _q2_{k} = _q2_{k + 1} & (o{k} | i{k})")
-            lines.append(f"    _q3_{k} = _q3_{k + 1} & s{k}")
-        adds = []
-        for k in range(n):
-            lines.append(f"    _m{k} = _n0 & _p2_{k} & _q2_{k + 1}")
-            lines.append(
-                f"    _az{k} = (oz & _p1_{k} & _q1_{k + 1}) | _m{k}"
-            )
-            lines.append(f"    _as{k} = _s1 | _m{k} | (_fa & o{k})")
-            lines.append(
-                f"    _ai{k} = (_fa & z{k}) | (_ri & _p3_{k} & _q3_{k + 1})"
-            )
-            if swap_result:
-                adds.append(f"(oo, _az{k}, _as{k}, _ai{k})")
-            else:
-                adds.append(f"(_az{k}, oo, _as{k}, _ai{k})")
-        lines.append(f"    return ({', '.join(adds)},)")
-        return "\n".join(lines) + "\n"
-    # XOR family
-    lines.append("    _kp_0 = _sp_0 = mask")
-    lines.append("    _pp_0 = 0")
-    for k in range(n):
-        lines.append(f"    _kp_{k + 1} = _kp_{k} & (z{k} | o{k})")
-        lines.append(f"    _pp_{k + 1} = _pp_{k} ^ o{k}")
-        lines.append(f"    _sp_{k + 1} = _sp_{k} & s{k}")
-    lines.append(f"    _kq_{n} = _sq_{n} = mask")
-    lines.append(f"    _pq_{n} = 0")
-    for k in range(n - 1, -1, -1):
-        lines.append(f"    _kq_{k} = _kq_{k + 1} & (z{k} | o{k})")
-        lines.append(f"    _pq_{k} = _pq_{k + 1} ^ o{k}")
-        lines.append(f"    _sq_{k} = _sq_{k + 1} & s{k}")
-    lines.append("    _ok = oz | oo")
-    adds = []
-    for k in range(n):
-        lines.append(f"    _r{k} = _pp_{k} ^ _pq_{k + 1}")
-        lines.append(f"    _a{k} = _kp_{k} & _kq_{k + 1} & _ok")
-        lines.append(
-            f"    _io{k} = ((oo & ~_r{k}) | (oz & _r{k})) & _a{k}"
-        )
-        lines.append(
-            f"    _iz{k} = ((oo & _r{k}) | (oz & ~_r{k})) & _a{k}"
-        )
-        lines.append(f"    _ai{k} = oi & _sp_{k} & _sq_{k + 1}")
-        adds.append(f"(_iz{k}, _io{k}, os, _ai{k})")
-    lines.append(f"    return ({', '.join(adds)},)")
-    return "\n".join(lines) + "\n"
-
-
-def _render_backward3(code: int, n: int) -> str:
-    """Source of the 3-valued backward body for one (code, arity)."""
-    lines = ["def _bwd(out, ins, mask):"]
-    if code == CODE_BUF:
-        lines.append("    return (out,)")
-        return "\n".join(lines) + "\n"
-    if code == CODE_NOT:
-        lines.append("    a0, a1 = out")
-        lines.append("    return ((a1, a0),)")
-        return "\n".join(lines) + "\n"
-    out_bind = "a1, a0" if code in _SWAP_OUT else "a0, a1"
-    lines.append(f"    {out_bind} = out")
-    for k in range(n):
-        in_bind = f"i1{k}, i0{k}" if code in _SWAP_IN else f"i0{k}, i1{k}"
-        lines.append(f"    {in_bind} = ins[{k}]")
-    swap_result = code in _SWAP_IN
-    if code in _AND_FAMILY or code in _OR_FAMILY:
-        lines.append("    _p_0 = mask")
-        for k in range(n):
-            lines.append(f"    _p_{k + 1} = _p_{k} & i1{k}")
-        lines.append(f"    _q_{n} = mask")
-        for k in range(n - 1, -1, -1):
-            lines.append(f"    _q_{k} = _q_{k + 1} & i1{k}")
-        adds = []
-        for k in range(n):
-            lines.append(f"    _az{k} = a0 & _p_{k} & _q_{k + 1}")
-            adds.append(f"(a1, _az{k})" if swap_result else f"(_az{k}, a1)")
-        lines.append(f"    return ({', '.join(adds)},)")
-        return "\n".join(lines) + "\n"
-    # XOR family
-    lines.append("    _kp_0 = mask")
-    lines.append("    _pp_0 = 0")
-    for k in range(n):
-        lines.append(f"    _kp_{k + 1} = _kp_{k} & (i0{k} | i1{k})")
-        lines.append(f"    _pp_{k + 1} = _pp_{k} ^ i1{k}")
-    lines.append(f"    _kq_{n} = mask")
-    lines.append(f"    _pq_{n} = 0")
-    for k in range(n - 1, -1, -1):
-        lines.append(f"    _kq_{k} = _kq_{k + 1} & (i0{k} | i1{k})")
-        lines.append(f"    _pq_{k} = _pq_{k + 1} ^ i1{k}")
-    lines.append("    _ok = a0 | a1")
-    adds = []
-    for k in range(n):
-        lines.append(f"    _r{k} = _pp_{k} ^ _pq_{k + 1}")
-        lines.append(f"    _a{k} = _kp_{k} & _kq_{k + 1} & _ok")
-        lines.append(
-            f"    _io{k} = ((a1 & ~_r{k}) | (a0 & _r{k})) & _a{k}"
-        )
-        lines.append(
-            f"    _iz{k} = ((a1 & _r{k}) | (a0 & ~_r{k})) & _a{k}"
-        )
-        adds.append(f"(_iz{k}, _io{k})")
-    lines.append(f"    return ({', '.join(adds)},)")
-    return "\n".join(lines) + "\n"
-
-
-#: (algebra name, code, arity) -> compiled backward function.  Shared
-#: process-wide like :data:`_FORWARD_CACHE`.
-_BACKWARD_CACHE: dict = {}
+    return _shape_fn("forward", algebra_name, code, arity)
 
 
 def gate_backward_fn(
@@ -621,40 +732,69 @@ def gate_backward_fn(
     ``Algebra.backward``'s contract — with the prefix/suffix chains
     unrolled.  ``None`` for algebras without an emitter.
     """
-    key = (algebra_name, code, arity)
-    fn = _BACKWARD_CACHE.get(key)
-    if fn is None:
-        if algebra_name == "seven_valued":
-            source = _render_backward7(code, arity)
-        elif algebra_name == "three_valued":
-            source = _render_backward3(code, arity)
-        else:
-            return None
-        fn = _compile_fn(
-            source, "_bwd", f"backward:{algebra_name}:{code}:{arity}"
-        )
-        _BACKWARD_CACHE[key] = fn
-    return fn
+    return _shape_fn("backward", algebra_name, code, arity)
+
+
+def _signal_table(
+    compiled: CompiledCircuit, kind: str, algebra_name: str
+) -> Optional[List[Optional[Callable]]]:
+    """Per-signal bodies of *kind*, built once per circuit and algebra.
+
+    Index-aligned with signal ids; primary inputs hold ``None`` (the
+    engine never evaluates them).  Memoized in
+    ``compiled._fusion_cache`` (shared: callers must not mutate it);
+    ``None`` for algebras without an emitter.
+    """
+    if algebra_name not in _TPG_EMITTERS:
+        return None
+    key = ("tpg", kind, algebra_name)
+    table = compiled._fusion_cache.get(key)
+    if table is None:
+        codes = compiled.py_codes
+        fanins = compiled.py_fanin
+        table = compiled._fusion_cache[key] = [
+            None
+            if is_input
+            else _shape_fn(kind, algebra_name, codes[s], len(fanins[s]))
+            for s, is_input in enumerate(compiled.is_input)
+        ]
+    return table
+
+
+def forward_table(
+    compiled: CompiledCircuit, algebra_name: str
+) -> Optional[List[Optional[Callable]]]:
+    """Per-signal :func:`gate_forward_fn` bodies, or ``None``."""
+    return _signal_table(compiled, "forward", algebra_name)
 
 
 def backward_table(
     compiled: CompiledCircuit, algebra_name: str
 ) -> Optional[List[Optional[Callable]]]:
-    """Per-signal backward functions for *algebra_name*, or ``None``.
+    """Per-signal :func:`gate_backward_fn` bodies, or ``None``."""
+    return _signal_table(compiled, "backward", algebra_name)
 
-    The mirror of :func:`forward_table` for the backward half of
-    ``imply()``; primary inputs hold ``None``.
+
+def step_table(
+    compiled: CompiledCircuit, algebra_name: str, use_backward: bool = True
+) -> Optional[List[Optional[Callable]]]:
+    """Per-signal fused implication steps, or ``None``.
+
+    ``table[s](planes, s, fanin, mask, trail, clashes) -> n_changed``
+    performs one ``imply()`` visit of gate *s*: the forward evaluation
+    and, with *use_backward*, the unique backward implications, merged
+    into *planes* in the interpreted engine's order.
     """
-    if gate_backward_fn(algebra_name, CODE_BUF, 1) is None:
-        return None
-    codes = compiled.py_codes
-    fanins = compiled.py_fanin
-    return [
-        None
-        if is_input
-        else gate_backward_fn(algebra_name, codes[s], len(fanins[s]))
-        for s, is_input in enumerate(compiled.is_input)
-    ]
+    kind = "step" if use_backward else "step_forward"
+    return _signal_table(compiled, kind, algebra_name)
+
+
+def unjustified_table(
+    compiled: CompiledCircuit, algebra_name: str
+) -> Optional[List[Optional[Callable]]]:
+    """Per-signal ``fn(planes, s, fanin, mask) -> lanes`` bodies: the
+    raw ``Algebra.unjustified`` mask of gate *s*, or ``None``."""
+    return _signal_table(compiled, "unjustified", algebra_name)
 
 
 # ---------------------------------------------------------------------------

@@ -73,8 +73,8 @@ def encode(name: str) -> Planes:
 
 def encode_word(name: str, lanes: int) -> Planes:
     """Plane pattern with the named value in the given lane mask."""
-    pattern = encode(name)
-    return tuple(lanes if bit else 0 for bit in pattern)  # type: ignore[return-value]
+    z, o, s, i = encode(name)
+    return (lanes * z, lanes * o, lanes * s, lanes * i)
 
 
 def decode_lane(planes: Planes, lane: int) -> str:

@@ -7,7 +7,7 @@ backend may differ only in speed.  These tests assert bit-identity on
 randomized circuits and inputs for two-valued, seven-valued, and
 ten-valued simulation, for detection masks and detection-strength
 grading across both test classes, for stuck-at cone resimulation, for
-the TPG implication engine's forward and backward tables, and for
+the TPG implication engine's fused step and justification tables, and for
 end-to-end generation / grading / stuck-at coverage on c880.  The
 native classes are skip-marked cleanly on hosts without a C
 toolchain; the fallback path itself is covered in ``test_kernel.py``.
@@ -21,9 +21,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import AtpgSession, Options
+from repro.circuit import Circuit, GateType
 from repro.circuit.generators import random_dag
 from repro.circuit.suites import suite_circuit
 from repro.core.patterns import random_patterns
+from repro.core.results import FaultStatus
 from repro.core.state import SEVEN_VALUED, THREE_VALUED, TpgState
 from repro.core.stuck_at import all_stuck_at_faults
 from repro.kernel import (
@@ -35,7 +37,8 @@ from repro.kernel import (
     native_available,
     words_to_int,
 )
-from repro.kernel.codegen import gate_backward_fn
+from repro.kernel.codegen import gate_backward_fn, gate_forward_fn
+from repro.kernel.compiled import GATE_CODES
 from repro.logic import seven_valued, three_valued
 from repro.logic.words import mask_for
 from repro.paths import TestClass, fault_list
@@ -238,72 +241,144 @@ class TestDetectionMasks:
                     assert masks == reference, (backend, fusion)
 
 
+def _with_twin_fanins(circuit, seed):
+    """*circuit* plus gates that read one signal twice.
+
+    ``random_dag`` never repeats a fanin, but netlists may; the fused
+    step must then merge both positions' additions in fanin order.
+    """
+    rng = random.Random(seed)
+    twin = Circuit(name=f"{circuit.name}_twin")
+    for gate in circuit.gates:
+        if gate.is_input:
+            twin.add_input(gate.name)
+        else:
+            twin.add_gate(gate.name, gate.gate_type, gate.fanin)
+    shapes = (
+        (GateType.AND, "aa"),
+        (GateType.NOR, "aba"),
+        (GateType.XOR, "aa"),
+        (GateType.NAND, "aba"),
+        (GateType.OR, "aa"),
+        (GateType.XNOR, "aba"),
+    )
+    for k, (gate_type, pattern) in enumerate(shapes):
+        a, b = rng.sample(range(len(twin.gates)), 2)
+        twin.add_gate(f"twin{k}", gate_type, [a if c == "a" else b for c in pattern])
+        twin.mark_output(f"twin{k}")
+    for signal in circuit.outputs:
+        twin.mark_output(signal)
+    return twin.freeze()
+
+
+def _engine_state(state):
+    """Everything the implication engine leaves behind."""
+    return (
+        list(state.planes),
+        state.conflict_mask,
+        dict(state.conflict_sites),
+        state.implication_passes,
+        list(state._trail),
+        state.scan_unjustified(),
+    )
+
+
 class TestImplicationForwardTable:
-    @settings(max_examples=30, deadline=None)
-    @given(circuit_params, st.sampled_from(["three", "seven"]))
-    def test_imply_matches_interp(self, params, algebra_name):
+    @settings(max_examples=40, deadline=None)
+    @given(
+        circuit_params,
+        st.sampled_from(["three", "seven"]),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_imply_matches_interp(self, params, algebra_name, use_backward, twin):
+        """The fused step table leaves the engine exactly as the oracle
+        does through mark / assign / imply / rollback / imply."""
         seed, n_inputs, n_gates = params
         circuit = random_dag(n_inputs, n_gates, seed=seed)
+        if twin:
+            circuit = _with_twin_fanins(circuit, seed)
         algebra = THREE_VALUED if algebra_name == "three" else SEVEN_VALUED
-        logic = three_valued if algebra_name == "three" else seven_valued
         width = 8
         rng = random.Random(seed + 4)
-        assignments = [
-            (
-                rng.randrange(circuit.num_signals),
-                logic.encode_word(
-                    rng.choice(["0", "1"])
-                    if algebra_name == "three"
-                    else rng.choice(["S0", "S1", "R", "F"]),
-                    1 << rng.randrange(width),
-                )
-                if algebra_name == "seven"
-                else logic.encode_word(rng.randint(0, 1), 1 << rng.randrange(width)),
+
+        def draw(count):
+            moves = []
+            for _ in range(count):
+                lanes = rng.randrange(1, 1 << width)
+                if algebra_name == "three":
+                    planes = three_valued.encode_word(rng.randint(0, 1), lanes)
+                else:
+                    name = rng.choice(["S0", "S1", "R", "F", "U0", "U1"])
+                    planes = seven_valued.encode_word(name, lanes)
+                moves.append((rng.randrange(circuit.num_signals), planes))
+            return moves
+
+        base, extra = draw(3), draw(4)
+
+        def run(fusion):
+            state = TpgState(
+                circuit, algebra, width, use_backward=use_backward, fusion=fusion
             )
-            for _ in range(6)
-        ]
-        states = {}
-        for fusion in ("interp", "codegen"):
-            state = TpgState(circuit, algebra, width, fusion=fusion)
-            for signal, planes in assignments:
+            for signal, planes in base:
                 state.assign(signal, planes)
             state.imply()
-            states[fusion] = state
-        assert states["interp"].planes == states["codegen"].planes
-        assert (
-            states["interp"].conflict_mask == states["codegen"].conflict_mask
-        )
+            token = state.mark()
+            for signal, planes in extra:
+                state.assign(signal, planes)
+            state.imply(stop_when_all_conflicted=False)
+            after_imply = _engine_state(state)
+            state.rollback(token)
+            state.imply()
+            return after_imply, _engine_state(state)
+
+        assert run("interp") == run("codegen")
+
+    def test_step_tables_built_once_per_circuit_and_algebra(self):
+        """Every TpgState of a circuit shares one step table per algebra
+        and implication strength; pickling ships the memo empty."""
+        import pickle
+
+        circuit = random_dag(5, 20, seed=3)
+        first = TpgState(circuit, SEVEN_VALUED, 8)
+        assert TpgState(circuit, SEVEN_VALUED, 16)._steps is first._steps
+        forward_only = TpgState(circuit, SEVEN_VALUED, 8, use_backward=False)
+        assert forward_only._steps is not first._steps
+        assert TpgState(circuit, THREE_VALUED, 8)._steps is not first._steps
+        assert TpgState(circuit, SEVEN_VALUED, 8, fusion="interp")._steps is None
+        clone = pickle.loads(pickle.dumps(circuit.compiled()))
+        assert clone._fusion_cache == {}
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_backward_bodies_match_interp_on_arbitrary_planes(self, seed):
-        """The unrolled backward bodies equal ``Algebra.backward`` for
-        every gate shape, on arbitrary (not only consistent) planes."""
-        circuit = random_dag(5, 22, seed=seed)
-        compiled = circuit.compiled()
+        """The compiled forward and unrolled backward bodies equal
+        ``Algebra.forward`` / ``Algebra.backward`` for every gate shape
+        up to arity 4, on arbitrary (not only consistent) planes."""
         rng = random.Random(seed + 9)
         mask = mask_for(8)
         for algebra in (THREE_VALUED, SEVEN_VALUED):
-            for s in range(compiled.n_signals):
-                if compiled.is_input[s]:
+            for gate_type, code in GATE_CODES.items():
+                if gate_type is GateType.INPUT:
                     continue
-                fanin = compiled.py_fanin[s]
-                out = tuple(
-                    rng.randint(0, mask) for _ in range(algebra.n_planes)
-                )
-                ins = [
-                    tuple(rng.randint(0, mask) for _ in range(algebra.n_planes))
-                    for _ in fanin
-                ]
-                gate_type = compiled.gate_types[s]
-                reference = algebra.backward(gate_type, out, ins, mask)
-                fn = gate_backward_fn(
-                    algebra.name, compiled.py_codes[s], len(fanin)
-                )
-                assert list(fn(out, ins, mask)) == list(reference), (
-                    algebra.name,
-                    gate_type,
-                )
+                single = gate_type in (GateType.BUF, GateType.NOT)
+                for arity in (1,) if single else (2, 3, 4):
+                    out = tuple(
+                        rng.randint(0, mask) for _ in range(algebra.n_planes)
+                    )
+                    ins = [
+                        tuple(rng.randint(0, mask) for _ in range(algebra.n_planes))
+                        for _ in range(arity)
+                    ]
+                    shape = (algebra.name, gate_type, arity)
+                    forward = gate_forward_fn(algebra.name, code, arity)
+                    assert tuple(forward(ins, mask)) == tuple(
+                        algebra.forward(gate_type, ins, mask)
+                    ), shape
+                    backward = gate_backward_fn(algebra.name, code, arity)
+                    assert list(backward(out, ins, mask)) == list(
+                        algebra.backward(gate_type, out, ins, mask)
+                    ), shape
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
@@ -347,17 +422,48 @@ class TestImplicationForwardTable:
         assert_scan_consistent()
 
 
+def _generation_outcome(session, **kwargs):
+    """Statuses, search counters and emitted patterns of one run."""
+    report = session.generate(**kwargs)
+    return (
+        [record.status for record in report.records],
+        report.decisions,
+        report.backtracks,
+        report.implication_passes,
+        report.patterns,
+    )
+
+
 class TestEndToEnd:
     @pytest.mark.parametrize("test_class", list(TestClass))
     def test_c880_statuses_identical_under_auto_fusion(self, test_class):
-        statuses = {}
-        for fusion in ("interp", "auto"):
-            session = AtpgSession.open(
-                "c880", options=Options(width=16, fusion=fusion)
+        outcomes = {
+            fusion: _generation_outcome(
+                AtpgSession.open("c880", options=Options(width=16, fusion=fusion)),
+                test_class=test_class,
+                max_faults=96,
             )
-            report = session.generate(test_class=test_class, max_faults=96)
-            statuses[fusion] = [record.status for record in report.records]
-        assert statuses["interp"] == statuses["auto"]
+            for fusion in ("interp", "auto")
+        }
+        assert outcomes["interp"] == outcomes["auto"]
+
+    def test_dag60_robust_identical_under_auto_fusion(self):
+        """The redundancy-heavy robust case (most faults end in FPTPG
+        conflicts or APTPG refutation)."""
+        outcomes = {
+            fusion: _generation_outcome(
+                AtpgSession(
+                    random_dag(12, 60, seed=1995, name="dag60"),
+                    options=Options(fusion=fusion),
+                ),
+                test_class=TestClass.ROBUST,
+                max_faults=512,
+            )
+            for fusion in ("interp", "auto")
+        }
+        assert outcomes["interp"] == outcomes["auto"]
+        statuses = outcomes["auto"][0]
+        assert statuses.count(FaultStatus.REDUNDANT) > len(statuses) // 2
 
     @pytest.mark.parametrize("test_class", list(TestClass))
     def test_c880_grade_identical_under_auto_fusion(self, test_class):
