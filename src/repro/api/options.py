@@ -72,11 +72,13 @@ class GenerationOptions:
             sends every fault straight to APTPG and vice versa.
         unique_backward: apply unique backward implications (see
             :class:`repro.core.state.TpgState`).
-        sim_backend: word backend of the PPSFP drop simulator
-            (``"auto"``, ``"int"``, ``"numpy"`` or ``"native"`` — the
-            compiled-C backend, which falls back to numpy with a
-            one-time warning when no C toolchain is present; see
-            :class:`repro.sim.delay_sim.DelayFaultSimulator`).  Never
+        sim_backend: word backend of the PPSFP drop simulator and of
+            BIST grading (``"auto"``, ``"int"``, ``"numpy"`` or
+            ``"native"`` — the C kernel, which falls back to numpy
+            with a one-time warning when no C compiler is present;
+            see :class:`repro.sim.delay_sim.DelayFaultSimulator`).
+            ``"auto"`` is int/numpy words for the drop simulator and
+            the native kernel, where available, for BIST.  Never
             outcome-relevant: every backend is bit-identical.
         fusion: plan execution strategy of every hot simulation loop —
             ``"interp"`` (per-gate interpreter, the oracle),

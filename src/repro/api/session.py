@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Sequence, Union
 from ..circuit import Circuit
 from ..core.patterns import TestPattern
 from ..core.results import TpgReport
+from ..kernel.native import resolve_backend
 from ..paths import (
     PathDelayFault,
     TestClass,
@@ -145,8 +146,9 @@ class AtpgSession:
     ) -> List[int]:
         """Detection masks behind the runtime degradation chain.
 
-        Tier 0 runs the requested backend/fusion pair (``"auto"``
-        resolves to native where compiled); a kernel *fault* —
+        Tier 0 runs the requested backend/fusion pair (``"auto"`` is
+        the native kernel where it is available, see
+        :func:`repro.kernel.native.resolve_backend`); a kernel *fault* —
         anything but the ``ValueError``/``TypeError`` input rejections,
         which no backend change can fix — demotes the session one tier
         and retries the same call: first to the numpy backend, then to
@@ -158,7 +160,11 @@ class AtpgSession:
         propagates its exception.  All tiers are bit-identical, so a
         degraded answer is still *the* answer, just slower.
         """
-        tiers = [(backend, fusion), ("numpy", "auto"), ("numpy", "interp")]
+        tiers = [
+            (resolve_backend(backend, fusion), fusion),
+            ("numpy", "auto"),
+            ("numpy", "interp"),
+        ]
         level = min(self._degrade_level, len(tiers) - 1)
         while True:
             tier_backend, tier_fusion = tiers[level]
@@ -265,7 +271,9 @@ class AtpgSession:
         circuit's full structural fault list of the chosen model is
         graded (optionally capped by *max_faults*).  Returns a
         :class:`repro.bist.BistReport`; *control* is the same
-        cancellation/progress hook :meth:`campaign` takes.
+        cancellation/progress hook :meth:`campaign` takes.  The
+        options' ``sim_backend="auto"`` grades on the native kernel
+        where it is available (never under ``fusion="interp"``).
         """
         from ..bist import LFSR, MISR, run_bist  # lazy: import cycle
         from ..bist.report import BistReport
@@ -303,7 +311,7 @@ class AtpgSession:
             window=opts.bist_window,
             max_patterns=opts.bist_max_patterns,
             target_coverage=opts.bist_target_coverage,
-            backend=opts.sim_backend,
+            backend=resolve_backend(opts.sim_backend, opts.fusion),
             fusion=opts.fusion,
             control=control,
         )
@@ -346,10 +354,11 @@ class AtpgSession:
         ``faults[i]`` under the session circuit and *test_class*.  The
         simulator for each (class, backend, fusion) triple is built
         once per session and reused across calls.  *backend* accepts
-        ``"auto"``/``"int"``/``"numpy"``/``"native"`` — the compiled-C
-        word backend falls back to numpy (with a one-time warning)
-        when no C toolchain is available; every backend is
-        bit-identical.
+        ``"auto"``/``"int"``/``"numpy"``/``"native"`` — ``"auto"`` is
+        the native kernel where it is available (int/numpy words
+        otherwise, and always under ``fusion="interp"``); an explicit
+        ``"native"`` falls back to numpy with a one-time warning when
+        no C compiler is available; every backend is bit-identical.
 
         Runs behind the session circuit breaker
         (:meth:`resilient_masks`): a kernel fault demotes the session
@@ -399,7 +408,11 @@ class AtpgSession:
             # walk conditions are identical, so the requested class's
             # detection masks fall out of the strength triples
             triples = strength_masks_all(
-                self.circuit, patterns, faults, backend=backend, fusion=fusion
+                self.circuit,
+                patterns,
+                faults,
+                backend=resolve_backend(backend, fusion),
+                fusion=fusion,
             )
             robust_class = resolved_class is TestClass.ROBUST
             masks = [t[1] if robust_class else t[0] for t in triples]

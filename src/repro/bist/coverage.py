@@ -63,10 +63,10 @@ class BistResult:
 
 
 def _map_backend(fault_model: str, backend: str) -> str:
-    # the stuck-at simulator's vectorized path is selected by "auto";
-    # "numpy" only exists as a distinct choice on the delay simulator
+    # "numpy" only exists as a distinct choice on the delay simulator;
+    # the stuck-at simulator's zero-toolchain path is its "int" words
     if fault_model == "stuck_at" and backend == "numpy":
-        return "auto"
+        return "int"
     return backend
 
 

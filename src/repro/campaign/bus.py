@@ -30,8 +30,8 @@ One :class:`repro.sim.delay_sim.DelayFaultSimulator` instance is
 reused for every admission check and drop round — the compiled kernel
 and backend selection are paid once per campaign.  The ``backend``
 knob passes straight through to the simulator, so a campaign run with
-``sim_backend="native"`` does all its admission and drop PPSFP inside
-the circuit's compiled-C module (building it once up front).
+``sim_backend="native"`` does all its admission and drop PPSFP in the
+native kernel; ``"auto"`` keeps int/numpy words here.
 """
 
 from __future__ import annotations

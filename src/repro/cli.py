@@ -826,7 +826,7 @@ def bench_stuck_at(
     )
     row["interp_seconds"] = round(interp_seconds, 6)
     row["interp_throughput"] = round(work / interp_seconds, 1)
-    fused_sim = StuckAtSimulator(circuit, fusion="codegen")
+    fused_sim = StuckAtSimulator(circuit, fusion="codegen", backend="int")
     fused_sim.detected_faults(vectors[:4], faults)  # warm the cone lowering
     fused_seconds, fused_masks = _best_of_runs(
         repeat, lambda: fused_sim.detected_faults(vectors, faults)

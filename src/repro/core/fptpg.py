@@ -46,21 +46,20 @@ class FptpgOutcome:
     seconds_sensitize: float = 0.0
 
 
-def objective_for_lane(state: TpgState, signal: int, lane: int) -> Optional[Tuple[int, bool]]:
-    """Derive the (value, need_stable) objective of an unjustified lane.
-
-    Returns ``None`` when the only missing aspect is instability,
-    which the backtrace does not pursue (see DESIGN.md: instability
-    requirements only originate at the path input, which needs no
-    justification).
-    """
+def _unjustified(state: TpgState, signal: int) -> Tuple[int, ...]:
+    """The missing planes of *signal*'s gate in every lane."""
     gate = state.circuit.gates[signal]
     ins = [state.planes[f] for f in gate.fanin]
-    miss = state.algebra.unjustified_planes(
+    return state.algebra.unjustified_planes(
         gate.gate_type, state.planes[signal], ins, state.mask
     )
+
+
+def _lane_objective(
+    miss: Sequence[int], out: Sequence[int], lane: int
+) -> Optional[Tuple[int, bool]]:
     bits = [(m >> lane) & 1 for m in miss]
-    out_bits = [(p >> lane) & 1 for p in state.planes[signal]]
+    out_bits = [(p >> lane) & 1 for p in out]
     need_stable = len(bits) >= 4 and bool(out_bits[2])
     if bits[1]:
         return 1, need_stable
@@ -76,21 +75,45 @@ def objective_for_lane(state: TpgState, signal: int, lane: int) -> Optional[Tupl
     return None
 
 
+def objective_for_lane(state: TpgState, signal: int, lane: int) -> Optional[Tuple[int, bool]]:
+    """Derive the (value, need_stable) objective of an unjustified lane.
+
+    Returns ``None`` when the only missing aspect is instability,
+    which the backtrace does not pursue (see DESIGN.md: instability
+    requirements only originate at the path input, which needs no
+    justification).
+    """
+    return _lane_objective(_unjustified(state, signal), state.planes[signal], lane)
+
+
 def objective_group(
     state: TpgState, signal: int, lanemask: int, rep: int
 ) -> Tuple[Optional[Tuple[int, bool]], int]:
-    """Group the lanes of *lanemask* that share the rep lane's objective."""
-    rep_objective = objective_for_lane(state, signal, rep)
+    """Group the lanes of *lanemask* that share the rep lane's objective.
+
+    The gate's missing planes are derived once; the lanes of the rep
+    objective then follow from word operations that apply the rules
+    of :func:`objective_for_lane` to every lane at once.
+    """
+    miss = _unjustified(state, signal)
+    out = state.planes[signal]
+    rep_objective = _lane_objective(miss, out, rep)
     if rep_objective is None:
         return None, 1 << rep
-    group = 0
-    lanes = lanemask
-    while lanes:
-        lane = lowest_set_lane(lanes)
-        lanes &= lanes - 1
-        if objective_for_lane(state, signal, lane) == rep_objective:
-            group |= 1 << lane
-    return rep_objective, group
+    value, need_stable = rep_objective
+    one = miss[1]  # value 1 missing
+    zero = miss[0] & ~one  # else value 0 missing
+    lanes = one if value else zero
+    if len(miss) >= 4:
+        stable = out[2]
+        if need_stable:
+            # else only stability missing: stabilize at the output's
+            # value 1, or at 0 when the output is 0 or free
+            rest = miss[2] & ~one & ~zero
+            lanes = (lanes & stable) | (rest & (out[1] if value else ~out[1]))
+        else:
+            lanes &= ~stable
+    return rep_objective, lanes & lanemask
 
 
 def pi_assignment_planes(state: TpgState, objective: PiObjective, lanes: int) -> Tuple[int, ...]:

@@ -16,12 +16,13 @@ The layers (see ARCHITECTURE.md):
   its vectorized numpy executors (the ``"vector"`` strategy).
 * :mod:`repro.kernel.codegen` — straight-line compiled plan bodies
   and the per-gate forward tables the TPG implication engine uses
-  (the ``"codegen"`` strategy), plus the C renderers the native
-  backend compiles.
+  (the ``"codegen"`` strategy), plus the C source of the native
+  kernel.
 * :mod:`repro.kernel.native` — :class:`NativeWordBackend`, the plan
-  executed as compiled C over uint64 lane slabs (cffi-built at
-  session time, cached by structural hash; degrades to numpy with a
-  one-time warning when no C toolchain is present).
+  executed over uint64 lane slabs by one circuit-generic C library
+  (built once per process with ``$CC``, cached on disk; the default
+  of grade, simulate and BIST, and a numpy fallback when no C
+  compiler is present).
 """
 
 from .backends import (
@@ -40,7 +41,7 @@ from .native import (
     native_available,
     native_module,
     native_unavailable_reason,
-    plan_hash,
+    resolve_backend,
 )
 from .codegen import (
     backward_table,
@@ -102,7 +103,7 @@ __all__ = [
     "native_available",
     "native_module",
     "native_unavailable_reason",
-    "plan_hash",
+    "resolve_backend",
     "backward_table",
     "compile_circuit",
     "cone_fault_fn",

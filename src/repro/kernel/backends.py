@@ -13,11 +13,12 @@ Three word representations share one compiled netlist
   the per-pattern cost; this is the bulk-simulation backend behind
   batched PPSFP and ``tip bench-sim``.
 * :class:`repro.kernel.native.NativeWordBackend` — the same uint64
-  lane slabs executed by compiled C (the plan rendered to one
-  translation unit per circuit, built via cffi at session time).
-  Opt-in (``prefer="native"``) because it needs a C toolchain; when
-  none is present :func:`backend_for` degrades to the numpy backend
-  with a one-time structured warning.
+  lane slabs executed by one circuit-generic C library, built once
+  per process.  :func:`backend_for` returns it for
+  ``prefer="native"`` only (degrading to numpy with a one-time
+  structured warning when no C compiler is present); the grade,
+  simulate and BIST verbs pick it for ``"auto"`` through
+  :func:`repro.kernel.native.resolve_backend`.
 
 Each backend additionally selects a **fusion strategy** — how the
 plan is *executed*, orthogonal to the word representation:
@@ -366,14 +367,17 @@ def backend_for(
       word (``n_lanes <= 64``, where CPython int bitwise ops beat
       numpy's per-gate dispatch), the numpy multi-word backend
       beyond it (where per-gate cost is amortized over many words).
-      ``auto`` never selects ``native`` — compiled-C execution is
-      opt-in since it needs a C toolchain at session time.
+      Here ``auto`` never selects ``native``: the TPG and campaign
+      drop simulators keep these words, while the grade, simulate
+      and BIST verbs resolve ``auto`` to native themselves
+      (:func:`repro.kernel.native.resolve_backend`).
     * ``"int"`` / ``"numpy"`` — pin that backend.
     * ``"native"`` — the compiled-C backend
       (:class:`repro.kernel.native.NativeWordBackend`); degrades to
       ``numpy`` with a one-time
       :class:`repro.kernel.native.NativeBackendUnavailableWarning`
-      when no C toolchain is present.
+      when no C compiler is present.  With ``fusion="interp"`` it is
+      the numpy interpreted loop: the oracle never runs native code.
 
     ``fusion`` selects the execution strategy of the chosen backend
     (see the module docstring).

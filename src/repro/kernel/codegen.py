@@ -40,13 +40,13 @@ Five generators live here:
   gates (reading unaffected signals from the good-machine values) and
   returns the output-difference lane word directly.
 
-:func:`render_native_source` also lives here: the C translation unit
-the native word backend compiles (:mod:`repro.kernel.native`).  Unlike
-the Python strategies it is *not* straight-line — the C passes are
-constant-size data-driven interpreters over baked plan/fanin tables
-(``_C_PASSES``), because gcc's per-function passes made straight-line
-C a minutes-long build on thousand-gate circuits while buying nothing
-over a dispatch loop that is dominated by slab memory traffic.
+:data:`NATIVE_SOURCE` also lives here: the C translation unit the
+native word backend compiles once per process
+(:mod:`repro.kernel.native`).  It is not rendered per circuit: data-
+driven interpreters read the circuit's plan and fanin tables from a
+context struct passed on every call, so one library serves every
+circuit (straight-line C also made gcc's per-function passes a
+minutes-long build on thousand-gate circuits).
 
 All generated code is asserted bit-identical to the interpreted
 oracle by ``tests/test_fusion.py`` (hypothesis cross-checks).
@@ -798,30 +798,42 @@ def unjustified_table(
 
 
 # ---------------------------------------------------------------------------
-# per-cone stuck-at resimulation functions
+# the native kernel: one circuit-generic C translation unit
 # ---------------------------------------------------------------------------
 
 
-# The three forward passes are circuit-generic C interpreters over the
-# baked level-order plan (REPRO_PLAN_OUT) and the per-signal gate-code
-# / fanin-CSR tables.  A fixed few hundred lines of C regardless of
-# circuit size — straight-line rendering made gcc's per-function
-# passes the build bottleneck (minutes at -O1 on a 2k-gate circuit) —
-# while the per-gate switch dispatch is noise next to the slab memory
-# traffic each gate's plane math streams.  The fold formulas below are
-# the n-ary emitter formulas of :func:`_emit_planes7` /
-# :func:`_emit_planes10` transcribed over C accumulators: bitwise
-# AND/OR folds are order-insensitive, and the order-sensitive XOR
-# chains iterate fanins in CSR order, which is plan fanin order, so
-# every pass stays bit-identical to the Python oracles.
+# Every entry point interprets a circuit's level-order plan and its
+# per-signal gate-code / fanin-CSR / controlling-value tables, which
+# arrive on each call in a ``repro_ctx`` struct -- so the C text is the
+# same for every circuit and one compiled library serves them all.
+# The per-gate switch dispatch is noise next to the slab memory traffic
+# each gate's plane math streams.  The fold formulas are the n-ary
+# emitter formulas of :func:`_emit_planes7` / :func:`_emit_planes10`
+# transcribed over C accumulators: bitwise AND/OR folds are
+# order-insensitive, and the order-sensitive XOR chains iterate fanins
+# in CSR order, which is plan fanin order, so every pass stays
+# bit-identical to the Python oracles.
 _C_PASSES = r"""
-void repro_logic_pass(u64 *V, long n) {
+#include <stdint.h>
+typedef uint64_t u64;
+
+typedef struct {
+  long n_plan;             /* gates in level order */
+  long max_arity;          /* widest gate fanin */
+  const int32_t *plan_out; /* (n_plan,) output signal per plan step */
+  const int8_t *code;      /* (n_signals,) gate code */
+  const int32_t *fanin_off; /* (n_signals + 1,) CSR offsets */
+  const int32_t *fanin_idx; /* CSR fanin signals */
+  const int8_t *ctrl;      /* (n_signals,) controlling value, -1 = none */
+} repro_ctx;
+
+void repro_logic_pass(const repro_ctx *ctx, u64 *V, long n) {
   long t, w, k;
-  for (t = 0; t < REPRO_N_PLAN; t++) {
-    long out = REPRO_PLAN_OUT[t];
-    int code = REPRO_CODE[out];
-    const int32_t *fi = REPRO_FANIN_IDX + REPRO_FANIN_OFF[out];
-    long nf = REPRO_FANIN_OFF[out + 1] - REPRO_FANIN_OFF[out];
+  for (t = 0; t < ctx->n_plan; t++) {
+    long out = ctx->plan_out[t];
+    int code = ctx->code[out];
+    const int32_t *fi = ctx->fanin_idx + ctx->fanin_off[out];
+    long nf = ctx->fanin_off[out + 1] - ctx->fanin_off[out];
     u64 *dst = V + out * n;
     for (w = 0; w < n; w++) {
       u64 acc = V[(long)fi[0] * n + w];
@@ -918,13 +930,14 @@ static void _p7_xor(u64 *Z, u64 *O, u64 *S, u64 *I, long out, int invert,
   }
 }
 
-void repro_planes7_pass(u64 *Z, u64 *O, u64 *S, u64 *I, long n) {
+void repro_planes7_pass(const repro_ctx *ctx, u64 *Z, u64 *O, u64 *S,
+                        u64 *I, long n) {
   long t, w;
-  for (t = 0; t < REPRO_N_PLAN; t++) {
-    long out = REPRO_PLAN_OUT[t];
-    int code = REPRO_CODE[out];
-    const int32_t *fi = REPRO_FANIN_IDX + REPRO_FANIN_OFF[out];
-    long nf = REPRO_FANIN_OFF[out + 1] - REPRO_FANIN_OFF[out];
+  for (t = 0; t < ctx->n_plan; t++) {
+    long out = ctx->plan_out[t];
+    int code = ctx->code[out];
+    const int32_t *fi = ctx->fanin_idx + ctx->fanin_off[out];
+    long nf = ctx->fanin_off[out + 1] - ctx->fanin_off[out];
     if (code <= 2) { /* BUF / NOT: copy, NOT swaps zero/one */
       long src = fi[0];
       for (w = 0; w < n; w++) {
@@ -993,11 +1006,12 @@ static void _p10_andor(u64 *Z, u64 *O, u64 *S, u64 *I, u64 *H, long out,
 
 /* 10-valued XOR-family gate: 7-valued fold plus the prefix/suffix
    stability products of the hazard-free rule (an input's hazard is
-   masked only when every *other* input is stable). */
+   masked only when every *other* input is stable).  *sp* is scratch
+   for nf + 1 prefix products. */
 static void _p10_xor(u64 *Z, u64 *O, u64 *S, u64 *I, u64 *H, long out,
-                     int invert, const int32_t *fi, long nf, long n) {
+                     int invert, const int32_t *fi, long nf, long n,
+                     u64 *sp) {
   long w, k;
-  u64 sp[REPRO_MAX_ARITY + 1];
   for (w = 0; w < n; w++) {
     long fs = fi[0];
     u64 az = Z[fs * n + w], ao = O[fs * n + w];
@@ -1031,13 +1045,15 @@ static void _p10_xor(u64 *Z, u64 *O, u64 *S, u64 *I, u64 *H, long out,
   }
 }
 
-void repro_planes10_pass(u64 *Z, u64 *O, u64 *S, u64 *I, u64 *H, long n) {
+void repro_planes10_pass(const repro_ctx *ctx, u64 *Z, u64 *O, u64 *S,
+                         u64 *I, u64 *H, long n) {
   long t, w;
-  for (t = 0; t < REPRO_N_PLAN; t++) {
-    long out = REPRO_PLAN_OUT[t];
-    int code = REPRO_CODE[out];
-    const int32_t *fi = REPRO_FANIN_IDX + REPRO_FANIN_OFF[out];
-    long nf = REPRO_FANIN_OFF[out + 1] - REPRO_FANIN_OFF[out];
+  u64 sp[ctx->max_arity + 1];
+  for (t = 0; t < ctx->n_plan; t++) {
+    long out = ctx->plan_out[t];
+    int code = ctx->code[out];
+    const int32_t *fi = ctx->fanin_idx + ctx->fanin_off[out];
+    long nf = ctx->fanin_off[out + 1] - ctx->fanin_off[out];
     if (code <= 2) { /* BUF / NOT: h-plane is inversion-invariant */
       long src = fi[0];
       for (w = 0; w < n; w++) {
@@ -1052,28 +1068,19 @@ void repro_planes10_pass(u64 *Z, u64 *O, u64 *S, u64 *I, u64 *H, long n) {
       _p10_andor(Z, O, S, I, H, out, code >= 5, code == 4 || code == 6,
                  fi, nf, n);
     } else {
-      _p10_xor(Z, O, S, I, H, out, code == 8, fi, nf, n);
+      _p10_xor(Z, O, S, I, H, out, code == 8, fi, nf, n, sp);
     }
   }
 }
 """
 
 
-def _c_int_array(name: str, ctype: str, values: Sequence[int]) -> str:
-    """One static const C array (emitted non-empty even for no values)."""
-    vals = list(values) or [0]
-    joined = ", ".join(str(v) for v in vals)
-    return f"static const {ctype} {name}[{len(vals)}] = {{{joined}}};"
-
-
-# The per-batch fault walks and the stuck-at cone interpreter are
-# circuit-generic C, but the fanin CSR and controlling-value tables
-# they read are baked into each circuit's module as static arrays —
-# the per-call ABI then only carries the per-batch data (paths, lane
-# planes, cone step arrays).
+# The per-batch fault walks and the stuck-at cone interpreter: one
+# call per fault batch, fanin and controlling values read from the
+# same context tables the passes use.
 _C_WALKS = r"""
-void repro_detect_walk(const u64 *Z, const u64 *O, const u64 *S,
-                       const u64 *I, long n,
+void repro_detect_walk(const repro_ctx *ctx, const u64 *Z, const u64 *O,
+                       const u64 *S, const u64 *I, long n,
                        const int32_t *path_flat, const int32_t *path_off,
                        const uint8_t *final_one, long n_faults, int robust,
                        const u64 *valid, u64 *out) {
@@ -1091,10 +1098,10 @@ void repro_detect_walk(const u64 *Z, const u64 *O, const u64 *S,
     }
     for (p = 1; p < plen && any; p++) {
       long sig = path[p], on = path[p - 1];
-      int c = REPRO_CTRL[sig];
+      int c = ctx->ctrl[sig];
       int32_t k;
-      for (k = REPRO_FANIN_OFF[sig]; k < REPRO_FANIN_OFF[sig + 1]; k++) {
-        long fs = REPRO_FANIN_IDX[k];
+      for (k = ctx->fanin_off[sig]; k < ctx->fanin_off[sig + 1]; k++) {
+        long fs = ctx->fanin_idx[k];
         if (fs == on) continue;
         if (c < 0) {
           /* XOR-like: nonrobust imposes nothing, robust needs
@@ -1117,8 +1124,8 @@ void repro_detect_walk(const u64 *Z, const u64 *O, const u64 *S,
   }
 }
 
-void repro_strength_walk(const u64 *Z, const u64 *O, const u64 *S,
-                         const u64 *I, const u64 *H, long n,
+void repro_strength_walk(const repro_ctx *ctx, const u64 *Z, const u64 *O,
+                         const u64 *S, const u64 *I, const u64 *H, long n,
                          const int32_t *path_flat, const int32_t *path_off,
                          const uint8_t *final_one, long n_faults,
                          const u64 *valid,
@@ -1140,10 +1147,10 @@ void repro_strength_walk(const u64 *Z, const u64 *O, const u64 *S,
     }
     for (p = 1; p < plen && any; p++) {
       long sig = path[p], on = path[p - 1];
-      int c = REPRO_CTRL[sig];
+      int c = ctx->ctrl[sig];
       int32_t k;
-      for (k = REPRO_FANIN_OFF[sig]; k < REPRO_FANIN_OFF[sig + 1]; k++) {
-        long fs = REPRO_FANIN_IDX[k];
+      for (k = ctx->fanin_off[sig]; k < ctx->fanin_off[sig + 1]; k++) {
+        long fs = ctx->fanin_idx[k];
         if (fs == on) continue;
         if (c < 0) {
           for (w = 0; w < n; w++) {
@@ -1172,133 +1179,110 @@ void repro_strength_walk(const u64 *Z, const u64 *O, const u64 *S,
   }
 }
 
-/* Cone step fanin encoding: value >= 0 is a cone-local scratch slot,
-   value < 0 is -(signal + 1) into the good-machine slab. */
+/* Cone fanin refs: >= 0 is a cone-local scratch slot (slot 0 = the
+   forced fault site), < 0 is -(signal + 1) into the good-machine slab. */
 static u64 _cone_load(const u64 *good, const u64 *scratch, long n,
                       int32_t ref, long w) {
   if (ref >= 0) return scratch[(long)ref * n + w];
   return good[(long)(-ref - 1) * n + w];
 }
 
-void repro_stuck_cone(const u64 *good, long n,
-                      const int32_t *codes, const int32_t *outs,
-                      const int32_t *fanin_flat, const int32_t *fanin_off,
-                      long n_steps, u64 *scratch, u64 forced,
-                      const int32_t *po_sig, const int32_t *po_slot,
-                      long n_pos, u64 *diff) {
-  long t, w, k;
-  for (w = 0; w < n; w++) scratch[w] = forced; /* slot 0 = fault site */
-  for (t = 0; t < n_steps; t++) {
-    int code = codes[t];
-    const int32_t *fi = fanin_flat + fanin_off[t];
-    long nf = fanin_off[t + 1] - fanin_off[t];
-    u64 *dst = scratch + (long)outs[t] * n;
-    for (w = 0; w < n; w++) {
-      u64 acc = _cone_load(good, scratch, n, fi[0], w);
-      switch (code) {
-        case 3: case 4: /* AND / NAND */
-          for (k = 1; k < nf; k++)
-            acc &= _cone_load(good, scratch, n, fi[k], w);
-          if (code == 4) acc = ~acc;
-          break;
-        case 5: case 6: /* OR / NOR */
-          for (k = 1; k < nf; k++)
-            acc |= _cone_load(good, scratch, n, fi[k], w);
-          if (code == 6) acc = ~acc;
-          break;
-        case 7: case 8: /* XOR / XNOR */
-          for (k = 1; k < nf; k++)
-            acc ^= _cone_load(good, scratch, n, fi[k], w);
-          if (code == 8) acc = ~acc;
-          break;
-        case 2: /* NOT */
-          acc = ~acc;
-          break;
-        default: /* BUF (1): acc already holds the input */
-          break;
+/* Stuck-at cone resimulation of a fault batch.  Fault f's cone record
+   starts at cones + cone_off[f]: n_steps, n_pos, then per step (code,
+   out slot, arity, fanin refs...), then n_pos (PO signal, PO slot)
+   pairs.  diff row f gets the lanes where any PO differs. */
+void repro_stuck_cones(const u64 *good, long n, const int32_t *cones,
+                       const int32_t *cone_off, const uint8_t *forced_one,
+                       long n_faults, u64 *scratch, u64 *diff) {
+  long f, t, w, k;
+  for (f = 0; f < n_faults; f++) {
+    const int32_t *r = cones + cone_off[f];
+    long n_steps = r[0], n_pos = r[1];
+    u64 forced = forced_one[f] ? ~(u64)0 : 0;
+    u64 *d = diff + f * n;
+    r += 2;
+    for (w = 0; w < n; w++) scratch[w] = forced;
+    for (t = 0; t < n_steps; t++) {
+      int code = r[0];
+      u64 *dst = scratch + (long)r[1] * n;
+      long nf = r[2];
+      const int32_t *fi = r + 3;
+      r += 3 + nf;
+      for (w = 0; w < n; w++) {
+        u64 acc = _cone_load(good, scratch, n, fi[0], w);
+        switch (code) {
+          case 3: case 4: /* AND / NAND */
+            for (k = 1; k < nf; k++)
+              acc &= _cone_load(good, scratch, n, fi[k], w);
+            if (code == 4) acc = ~acc;
+            break;
+          case 5: case 6: /* OR / NOR */
+            for (k = 1; k < nf; k++)
+              acc |= _cone_load(good, scratch, n, fi[k], w);
+            if (code == 6) acc = ~acc;
+            break;
+          case 7: case 8: /* XOR / XNOR */
+            for (k = 1; k < nf; k++)
+              acc ^= _cone_load(good, scratch, n, fi[k], w);
+            if (code == 8) acc = ~acc;
+            break;
+          case 2: acc = ~acc; break; /* NOT */
+          default: break;            /* BUF */
+        }
+        dst[w] = acc;
       }
-      dst[w] = acc;
     }
-  }
-  for (w = 0; w < n; w++) diff[w] = 0;
-  for (k = 0; k < n_pos; k++) {
-    const u64 *g = good + (long)po_sig[k] * n;
-    const u64 *v = scratch + (long)po_slot[k] * n;
-    for (w = 0; w < n; w++) diff[w] |= g[w] ^ v[w];
+    for (w = 0; w < n; w++) d[w] = 0;
+    for (k = 0; k < n_pos; k++, r += 2) {
+      const u64 *g = good + (long)r[0] * n;
+      const u64 *v = scratch + (long)r[1] * n;
+      for (w = 0; w < n; w++) d[w] |= g[w] ^ v[w];
+    }
   }
 }
 """
 
-#: The cffi declarations of every entry point a native module exports.
+#: The whole native kernel: the same C for every circuit.
+NATIVE_SOURCE = _C_PASSES + _C_WALKS
+
+#: The cffi (ABI-mode) declarations of the kernel's entry points.
 NATIVE_CDEF = """
-void repro_logic_pass(uint64_t *v, long n);
-void repro_planes7_pass(uint64_t *z, uint64_t *o, uint64_t *s,
-                        uint64_t *i, long n);
-void repro_planes10_pass(uint64_t *z, uint64_t *o, uint64_t *s,
-                         uint64_t *i, uint64_t *h, long n);
-void repro_detect_walk(const uint64_t *z, const uint64_t *o,
-                       const uint64_t *s, const uint64_t *i, long n,
+typedef struct {
+  long n_plan;
+  long max_arity;
+  const int32_t *plan_out;
+  const int8_t *code;
+  const int32_t *fanin_off;
+  const int32_t *fanin_idx;
+  const int8_t *ctrl;
+} repro_ctx;
+void repro_logic_pass(const repro_ctx *ctx, uint64_t *v, long n);
+void repro_planes7_pass(const repro_ctx *ctx, uint64_t *z, uint64_t *o,
+                        uint64_t *s, uint64_t *i, long n);
+void repro_planes10_pass(const repro_ctx *ctx, uint64_t *z, uint64_t *o,
+                         uint64_t *s, uint64_t *i, uint64_t *h, long n);
+void repro_detect_walk(const repro_ctx *ctx, const uint64_t *z,
+                       const uint64_t *o, const uint64_t *s,
+                       const uint64_t *i, long n,
                        const int32_t *path_flat, const int32_t *path_off,
                        const uint8_t *final_one, long n_faults, int robust,
                        const uint64_t *valid, uint64_t *out);
-void repro_strength_walk(const uint64_t *z, const uint64_t *o,
-                         const uint64_t *s, const uint64_t *i,
-                         const uint64_t *h, long n,
+void repro_strength_walk(const repro_ctx *ctx, const uint64_t *z,
+                         const uint64_t *o, const uint64_t *s,
+                         const uint64_t *i, const uint64_t *h, long n,
                          const int32_t *path_flat, const int32_t *path_off,
                          const uint8_t *final_one, long n_faults,
                          const uint64_t *valid, uint64_t *out_nr,
                          uint64_t *out_r, uint64_t *out_st);
-void repro_stuck_cone(const uint64_t *good, long n,
-                      const int32_t *codes, const int32_t *outs,
-                      const int32_t *fanin_flat, const int32_t *fanin_off,
-                      long n_steps, uint64_t *scratch, uint64_t forced,
-                      const int32_t *po_sig, const int32_t *po_slot,
-                      long n_pos, uint64_t *diff);
+void repro_stuck_cones(const uint64_t *good, long n, const int32_t *cones,
+                       const int32_t *cone_off, const uint8_t *forced_one,
+                       long n_faults, uint64_t *scratch, uint64_t *diff);
 """
 
 
-def render_native_source(compiled: CompiledCircuit) -> str:
-    """The whole native kernel of one circuit as one C translation unit.
-
-    The C text is circuit-generic: the three forward passes
-    (``_C_PASSES``) interpret the baked level-order plan over row-major
-    ``(n_signals, n_words)`` uint64 slabs with the very fold formulas
-    the Python emitters inline, and the per-fault PPSFP detection
-    walk, the three-class strength walk and the stuck-at cone
-    resimulation (``_C_WALKS``) read the same static fanin /
-    controlling tables, so a whole fault batch costs one Python call.
-    Only the tables differ between circuits — the code size (and so
-    the session-time compile cost) is constant in circuit size, which
-    is what lets the build run at a real optimization level.
-    """
-    plan_out = [out for _code, out, _fanin, _gt in compiled.plan]
-    max_arity = max(
-        (len(fanin) for _code, _out, fanin, _gt in compiled.plan), default=1
-    )
-    parts: List[str] = [
-        "#include <stdint.h>",
-        "typedef uint64_t u64;",
-        "",
-        f"#define REPRO_N_PLAN {len(plan_out)}",
-        f"#define REPRO_MAX_ARITY {max(1, max_arity)}",
-        _c_int_array("REPRO_PLAN_OUT", "int32_t", plan_out),
-        _c_int_array("REPRO_CODE", "int8_t", compiled.py_codes),
-        _c_int_array(
-            "REPRO_FANIN_OFF", "int32_t", compiled.fanin_offsets.tolist()
-        ),
-        _c_int_array(
-            "REPRO_FANIN_IDX", "int32_t", compiled.fanin_index.tolist()
-        ),
-        _c_int_array(
-            "REPRO_CTRL",
-            "int8_t",
-            [-1 if c is None else int(c) for c in compiled.controlling],
-        ),
-        "",
-        _C_PASSES,
-        _C_WALKS,
-    ]
-    return "\n".join(parts)
+# ---------------------------------------------------------------------------
+# per-cone stuck-at resimulation functions
+# ---------------------------------------------------------------------------
 
 
 def render_cone_source(compiled: CompiledCircuit, site: int) -> str:

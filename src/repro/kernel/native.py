@@ -1,87 +1,91 @@
-"""Native word backend: the lowered plan compiled to machine code.
+"""Native word backend: the lowered plan run by one compiled C library.
 
-The third word backend.  :mod:`repro.kernel.codegen` renders the same
-level-major plan the Python strategies execute as one C translation
-unit over contiguous row-major ``(n_signals, n_words)`` uint64 lane
-slabs (:func:`repro.kernel.codegen.render_native_source`); this module
-compiles it via :mod:`cffi` at session time and exposes it behind the
+:data:`repro.kernel.codegen.NATIVE_SOURCE` is one circuit-generic C
+translation unit: the two-valued, 7-valued and 10-valued forward
+passes, the PPSFP detection and strength walks and the stuck-at cone
+resimulation interpret a circuit's plan tables, which arrive on every
+call in a ``repro_ctx`` struct.  This module compiles it once per
+process with ``$CC`` (default ``cc``) into a plain shared library,
+loads it with :meth:`cffi.FFI.dlopen` (ABI mode) and exposes it behind
 :class:`NativeWordBackend` — a drop-in :class:`NumpyWordBackend`
 subclass, so every ``isinstance`` dispatch on the numpy backend keeps
-working and only the pass bodies change.
+working and only the pass bodies change.  A whole fault batch costs
+one Python call.
 
-Covered end to end: the two-valued and 7-valued full passes, the
-10-valued grading pass, the stuck-at cone resimulation, and the PPSFP
-fault inner loops — the per-fault detection and strength walks run
-*inside* the module (fault injection plus detection-mask reduction in
-C over static fanin/controlling tables), so a whole fault batch costs
-one Python call instead of one per fault per edge.
+Lifecycle:
 
-Build and caching lifecycle:
-
-* one **probe** per process (:func:`native_available`) compiles a
-  trivial module to prove a working C toolchain; without one, every
-  ``prefer="native"`` request degrades to the numpy backend with a
-  one-time :class:`NativeBackendUnavailableWarning`,
-* per circuit, the module is keyed by a **structural hash** of the
-  evaluation plan (:func:`plan_hash`) — the compiled shared object is
-  written to a per-user disk cache (``REPRO_NATIVE_CACHE`` overrides
-  the location) and re-loaded without recompiling on later runs,
-* in process, modules are memoized globally by hash and on
-  ``CompiledCircuit._fusion_cache`` — which ``__getstate__`` drops, so
-  compiled circuits stay pickling-safe exactly like ``cone_fault_fn``
-  bodies (campaign pool workers rebuild/reload per process).
+* :func:`native_module` builds or loads the library once per process;
+  :func:`native_available` is True when that worked — the real build
+  is the probe.  :func:`resolve_backend` turns ``"auto"`` into native
+  on the kernel-bound verbs (grade, simulate, BIST) wherever it is
+  available; an explicit ``prefer="native"`` without it degrades to
+  numpy with a one-time :class:`NativeBackendUnavailableWarning`.
+* the library lives in a per-user disk cache (``REPRO_NATIVE_CACHE``
+  overrides the location) under a name keyed by the sha256 of the
+  source, the flags and ``$CC``, so edited C never reloads a stale
+  object.  The directory is created 0700; one owned by another user or
+  writable by group or others is refused, and the build then goes to a
+  fresh private temp directory.  Builds compile in a private temp
+  directory and are published with ``os.replace``, so a concurrent
+  process never loads a half-written library.
+* per circuit only the ``repro_ctx`` struct is built, memoized in
+  ``CompiledCircuit._fusion_cache`` (dropped on pickling).
 
 Bit-identity against the interpreted oracle for every covered pass is
-asserted by ``tests/test_fusion.py``; speed is tracked in
-``BENCH_kernel.json`` (the ``native_*`` columns).
+asserted by ``tests/test_fusion.py``.
 """
 
 from __future__ import annotations
 
 import array
-import glob
 import hashlib
-import importlib.util
 import os
-import sys
+import shlex
+import shutil
+import stat
+import subprocess
 import tempfile
 import threading
 import warnings
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .backends import NumpyWordBackend, PlanesLike
-from .codegen import NATIVE_CDEF, render_native_source
+from .codegen import NATIVE_CDEF, NATIVE_SOURCE
 from .compiled import CompiledCircuit
-from .packed import rows_to_ints, words_to_int
+from .packed import rows_to_ints
 
-#: Bump when the generated C or the call ABI changes: the version is
-#: hashed into module names, so stale disk-cached shared objects from
-#: older generators are never reloaded.
-NATIVE_ABI = 2
+_CFLAGS = ("-O2", "-shared", "-fPIC")
 
 
 class NativeBackendUnavailableWarning(RuntimeWarning):
     """Emitted once per process when ``prefer="native"`` falls back.
 
     Structured (its own category) so callers can filter or assert on
-    it; the message carries the probe's failure reason.
+    it; the message carries the build's failure reason.
     """
 
 
+class NativeLibrary(NamedTuple):
+    """The loaded kernel: cffi handle, entry points, shared-object path."""
+
+    ffi: object
+    lib: object
+    path: str
+
+
 _lock = threading.Lock()
-_probe_result: Optional[Tuple[bool, str]] = None
-_modules: Dict[str, object] = {}
+_library: Optional[NativeLibrary] = None
+_failure: Optional[str] = None
 _warned_fallback = False
 
 
 def native_cache_dir() -> str:
-    """The on-disk cache of compiled native modules.
+    """The on-disk cache of the compiled library.
 
-    ``REPRO_NATIVE_CACHE`` overrides; the default is per-user (and
-    per-Python-tag via the extension filename) under the system temp
-    directory.
+    ``REPRO_NATIVE_CACHE`` overrides; the default is per-user under
+    the system temp directory.
     """
     override = os.environ.get("REPRO_NATIVE_CACHE")
     if override:
@@ -90,58 +94,111 @@ def native_cache_dir() -> str:
     return os.path.join(tempfile.gettempdir(), f"repro-native-{uid}")
 
 
-def _load_extension(name: str, path: str):
-    """Import one compiled extension module from an explicit path."""
-    spec = importlib.util.spec_from_file_location(name, path)
-    if spec is None or spec.loader is None:  # pragma: no cover
-        raise ImportError(f"cannot load native module from {path!r}")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def _private_dir(path: str) -> bool:
+    """Create *path* (0700) if missing; True iff it is ours and private."""
+    try:
+        os.makedirs(path, mode=0o700, exist_ok=True)
+        info = os.lstat(path)
+    except OSError:
+        return False
+    return (
+        stat.S_ISDIR(info.st_mode)
+        and info.st_uid == os.getuid()
+        and not info.st_mode & 0o022
+    )
 
 
-def _run_probe() -> Tuple[bool, str]:
-    """Compile + load + call a trivial module; (ok, failure reason)."""
+def _library_name(compiler: Sequence[str]) -> str:
+    """Cache file name, keyed by the source, the flags and the compiler."""
+    key = hashlib.sha256(
+        "\0".join([NATIVE_SOURCE, *_CFLAGS, *compiler]).encode()
+    ).hexdigest()[:16]
+    return f"repro-kernel-{key}.so"
+
+
+def _load_library(cache_dir: str) -> NativeLibrary:
+    """Reuse the cached library in *cache_dir*, or build and publish it."""
+    import cffi
+
+    compiler = shlex.split(os.environ.get("CC") or "cc")
+    ffi = cffi.FFI()
+    ffi.cdef(NATIVE_CDEF)
+    cached = _private_dir(cache_dir)
+    target = os.path.join(cache_dir, _library_name(compiler))
+    if cached and os.path.isfile(target):
+        try:
+            return NativeLibrary(ffi, ffi.dlopen(target), target)
+        except OSError:
+            pass  # unloadable (e.g. built for another host): rebuild
+    build_dir = tempfile.mkdtemp(
+        prefix="build-", dir=cache_dir if cached else None
+    )
     try:
-        import cffi
-    except Exception as exc:  # pragma: no cover - cffi is baked in
-        return False, f"cffi is not importable ({exc!r})"
-    try:
-        ffi = cffi.FFI()
-        ffi.cdef("int repro_native_probe(void);")
-        ffi.set_source(
-            "_repro_native_probe",
-            "int repro_native_probe(void) { return 42; }",
+        source = os.path.join(build_dir, "kernel.c")
+        built = os.path.join(build_dir, os.path.basename(target))
+        with open(source, "w") as handle:
+            handle.write(NATIVE_SOURCE)
+        run = subprocess.run(
+            [*compiler, *_CFLAGS, "-o", built, source],
+            capture_output=True,
+            text=True,
         )
-        with tempfile.TemporaryDirectory() as tmp:
-            lib_path = ffi.compile(tmpdir=tmp)
-            module = _load_extension("_repro_native_probe", lib_path)
-            if module.lib.repro_native_probe() != 42:  # pragma: no cover
-                return False, "probe module returned a wrong value"
-    except Exception as exc:
-        return False, f"C toolchain probe failed ({exc})"
-    return True, ""
+        if run.returncode != 0:
+            raise RuntimeError(
+                f"{compiler[0]} exited {run.returncode}: "
+                f"{run.stderr.strip()[-400:]}"
+            )
+        if cached:
+            os.replace(built, target)
+            built = target
+        # a library outside the cache is unlinked below once mapped
+        return NativeLibrary(ffi, ffi.dlopen(built), built)
+    finally:
+        shutil.rmtree(build_dir, ignore_errors=True)
+
+
+def native_module() -> NativeLibrary:
+    """The process-wide native kernel library (built or loaded once).
+
+    Raises :class:`RuntimeError` with the reason when it cannot be
+    built; the failure is remembered, so the build is tried once per
+    process.
+    """
+    global _library, _failure
+    if _library is None:
+        with _lock:
+            if _library is None and _failure is None:
+                try:
+                    _library = _load_library(native_cache_dir())
+                except Exception as exc:  # noqa: BLE001 - any build failure
+                    _failure = f"native kernel build failed ({exc})"
+            if _library is None:
+                raise RuntimeError(_failure)
+    return _library
 
 
 def native_available() -> bool:
-    """True when a working C toolchain (and cffi) is present.
-
-    The probe actually compiles (once per process), so a compiler
-    removed between sessions — or hidden via ``CC=/nonexistent`` — is
-    detected rather than assumed from a stale cache.
-    """
-    global _probe_result
-    with _lock:
-        if _probe_result is None:
-            _probe_result = _run_probe()
-    return _probe_result[0]
+    """True when the native kernel library built or loaded."""
+    try:
+        native_module()
+    except RuntimeError:
+        return False
+    return True
 
 
 def native_unavailable_reason() -> str:
-    """The probe's failure reason ("" when native is available)."""
-    native_available()
-    assert _probe_result is not None
-    return _probe_result[1]
+    """Why the library is unavailable ("" when it is available)."""
+    return "" if native_available() else str(_failure)
+
+
+def resolve_backend(backend: str, fusion: str) -> str:
+    """What *backend* means on the kernel-bound verbs (grade, simulate,
+    BIST): ``"auto"`` is native wherever the library is available,
+    except under ``fusion="interp"`` — the interpreted oracle never
+    runs native code.  Any other choice is returned unchanged."""
+    if backend == "auto" and fusion != "interp" and native_available():
+        return "native"
+    return backend
 
 
 def warn_native_fallback() -> None:
@@ -163,96 +220,64 @@ def native_backend_or_fallback(n_lanes: int, fusion: str = "auto"):
     """A :class:`NativeWordBackend`, or numpy + one-time warning.
 
     The graceful-degradation seam ``backend_for(prefer="native")``
-    routes through: without a C toolchain the package must keep
-    working everywhere, so the numpy backend (bit-identical results)
-    is substituted and a :class:`NativeBackendUnavailableWarning` is
-    emitted once per process.
+    routes through.  ``fusion="interp"`` is the oracle on every
+    backend, so it gets the numpy per-gate loop, never native code.
     """
+    if fusion == "interp":
+        return NumpyWordBackend(n_lanes, fusion=fusion)
     if native_available():
         return NativeWordBackend(n_lanes, fusion=fusion)
     warn_native_fallback()
     return NumpyWordBackend(n_lanes, fusion=fusion)
 
 
-def plan_hash(compiled: CompiledCircuit) -> str:
-    """Structural hash of the evaluation plan (the module cache key).
-
-    Two circuits with the same signals/inputs/outputs and the same
-    plan steps generate byte-identical C, so they share one compiled
-    module — across processes via the disk cache.
-    """
-    h = hashlib.sha256()
-    h.update(f"abi{NATIVE_ABI};{compiled.n_signals};".encode())
-    h.update(f"{tuple(compiled.py_inputs)};{tuple(compiled.py_outputs)};".encode())
-    for code, out, fanin, _gt in compiled.plan:
-        h.update(f"{code}:{out}:{fanin};".encode())
-    return h.hexdigest()[:16]
-
-
-def _find_cached(name: str, cache_dir: str) -> Optional[str]:
-    """Path of a previously compiled shared object, if any."""
-    for path in sorted(glob.glob(os.path.join(cache_dir, name + ".*"))):
-        if path.endswith((".so", ".pyd", ".dylib")):
-            return path
-    return None
-
-
-def _build_module(compiled: CompiledCircuit, name: str, cache_dir: str):
-    import cffi
-
-    ffi = cffi.FFI()
-    ffi.cdef(NATIVE_CDEF)
-    # The C text is constant-size (data-driven plan interpreters, only
-    # the tables grow with the circuit), so a real optimization level
-    # is affordable at session time: -O2 builds bulk2k in ~2s and runs
-    # the fault loop ~2x faster than -O0.  -w: machine-written code
-    # trips set-but-unused warnings by construction; the noise helps
-    # nobody.
-    extra = [] if os.name == "nt" else ["-O2", "-w"]
-    ffi.set_source(
-        name, render_native_source(compiled), extra_compile_args=extra
-    )
-    os.makedirs(cache_dir, exist_ok=True)
-    return ffi.compile(tmpdir=cache_dir)
+def _bind(compiled: CompiledCircuit) -> Tuple:
+    """``(ffi, lib, ctx)`` for *compiled*; the ``repro_ctx`` struct over
+    its plan tables is built once per circuit."""
+    bound = compiled._fusion_cache.get("native_ctx")
+    if bound is None:
+        ffi, lib, _path = native_module()
+        tables = {
+            "plan_out": np.fromiter(
+                (out for _c, out, _f, _g in compiled.plan), np.int32,
+                count=len(compiled.plan),
+            ),
+            "code": np.asarray(compiled.py_codes, dtype=np.int8),
+            "fanin_off": np.ascontiguousarray(compiled.fanin_offsets, np.int32),
+            "fanin_idx": np.ascontiguousarray(compiled.fanin_index, np.int32),
+            "ctrl": np.asarray(
+                [-1 if c is None else c for c in compiled.controlling],
+                dtype=np.int8,
+            ),
+        }
+        # the struct holds raw pointers: keep the buffers alive with it
+        buffers = {name: _buf(ffi, table) for name, table in tables.items()}
+        ctx = ffi.new(
+            "repro_ctx *",
+            {
+                "n_plan": len(compiled.plan),
+                "max_arity": max(
+                    (len(fanin) for _c, _o, fanin, _g in compiled.plan),
+                    default=1,
+                ),
+                **buffers,
+            },
+        )
+        bound = compiled._fusion_cache["native_ctx"] = (ffi, lib, ctx, buffers)
+    return bound[:3]
 
 
-def native_module(compiled: CompiledCircuit):
-    """The compiled native module of *compiled* (memoized, see module doc).
-
-    Requires :func:`native_available`; raises the underlying build
-    error otherwise.  The returned module exposes ``lib`` (the entry
-    points of :data:`repro.kernel.codegen.NATIVE_CDEF`) and ``ffi``.
-    """
-    module = compiled._fusion_cache.get("native_module")
-    if module is not None:
-        return module
-    key = plan_hash(compiled)
-    name = f"_repro_native_{key}"
-    with _lock:
-        module = _modules.get(key)
-        if module is None:
-            cache_dir = native_cache_dir()
-            path = _find_cached(name, cache_dir)
-            if path is not None:
-                try:
-                    module = _load_extension(name, path)
-                except Exception:
-                    path = None  # stale/foreign object: rebuild below
-                    module = None
-            if module is None:
-                lib_path = _build_module(compiled, name, cache_dir)
-                module = _load_extension(name, lib_path)
-            _modules[key] = module
-    compiled._fusion_cache["native_module"] = module
-    return module
+_CTYPES = {
+    np.dtype(np.uint64): "uint64_t[]",
+    np.dtype(np.int32): "int32_t[]",
+    np.dtype(np.int8): "int8_t[]",
+    np.dtype(np.uint8): "uint8_t[]",
+}
 
 
-def _u64_ptr(ffi, array: np.ndarray):
-    return ffi.cast("uint64_t *", ffi.from_buffer(array))
-
-
-def _i32_ptr(ffi, array: np.ndarray):
-    return ffi.cast("int32_t *", ffi.from_buffer(array))
+def _buf(ffi, array: np.ndarray):
+    """A typed C view of a contiguous numpy array (keeps it alive)."""
+    return ffi.from_buffer(_CTYPES[array.dtype], array)
 
 
 def _path_arrays(
@@ -286,18 +311,17 @@ def _path_arrays(
     return flat, offsets, final_one
 
 
-def cone_step_arrays(compiled: CompiledCircuit, site: int) -> Tuple:
-    """The native stuck-at cone plan of one fault site (memoized).
+def cone_record(compiled: CompiledCircuit, site: int) -> np.ndarray:
+    """The ``repro_stuck_cones`` record of one fault site (memoized).
 
-    ``(codes, out_slots, fanin_flat, fanin_off, po_sig, po_slot,
-    n_slots)`` — the arrays ``repro_stuck_cone`` interprets.  Slot 0
-    is the site itself (forced inside C); fanin references outside the
-    cone are encoded ``-(signal + 1)`` and read from the good-machine
-    slab.  Cached on the compiled circuit like the Python cone bodies.
+    ``[n_steps, n_pos, (code, out slot, arity, refs...) per step,
+    (PO signal, PO slot) per cone output]``.  Slot 0 is the site
+    itself (forced inside C); fanin references outside the cone are
+    encoded ``-(signal + 1)`` and read from the good-machine slab.
     """
     key = ("native_cone", site)
-    arrays = compiled._fusion_cache.get(key)
-    if arrays is None:
+    record = compiled._fusion_cache.get(key)
+    if record is None:
         slots = {site: 0}
         steps = [
             s
@@ -306,28 +330,16 @@ def cone_step_arrays(compiled: CompiledCircuit, site: int) -> Tuple:
         ]
         for s in steps:
             slots[s] = len(slots)
-        codes = np.fromiter(
-            (compiled.py_codes[s] for s in steps), np.int32, count=len(steps)
-        )
-        out_slots = np.fromiter(
-            (slots[s] for s in steps), np.int32, count=len(steps)
-        )
-        fanin_off = np.zeros(len(steps) + 1, dtype=np.int32)
-        flat: List[int] = []
-        for k, s in enumerate(steps):
-            for f in compiled.py_fanin[s]:
-                flat.append(slots[f] if f in slots else -(f + 1))
-            fanin_off[k + 1] = len(flat)
-        fanin_flat = np.asarray(flat, dtype=np.int32)
-        pos = [(po, slots[po]) for po in compiled.py_outputs if po in slots]
-        po_sig = np.fromiter((p for p, _ in pos), np.int32, count=len(pos))
-        po_slot = np.fromiter((q for _, q in pos), np.int32, count=len(pos))
-        arrays = (
-            codes, out_slots, fanin_flat, fanin_off, po_sig, po_slot,
-            len(slots),
-        )
-        compiled._fusion_cache[key] = arrays
-    return arrays
+        pos = [po for po in compiled.py_outputs if po in slots]
+        flat: List[int] = [len(steps), len(pos)]
+        for s in steps:
+            fanin = compiled.py_fanin[s]
+            flat += (compiled.py_codes[s], slots[s], len(fanin))
+            flat += (slots[f] if f in slots else -(f + 1) for f in fanin)
+        for po in pos:
+            flat += (po, slots[po])
+        record = compiled._fusion_cache[key] = np.asarray(flat, np.int32)
+    return record
 
 
 class NativeWordBackend(NumpyWordBackend):
@@ -338,9 +350,9 @@ class NativeWordBackend(NumpyWordBackend):
     last word are unspecified for two-valued values and stay ``X`` for
     plane passes), same ``fusion`` attribute (the C body *is* the
     fused plan; the attribute is kept for option plumbing) — but each
-    forward pass is one call into the circuit's compiled module, and
-    the fault-batch methods (:meth:`ppsfp_masks`,
-    :meth:`strength_triples`) keep the walks in C too.
+    forward pass is one call into the native library, and the
+    fault-batch methods (:meth:`ppsfp_masks`, :meth:`strength_triples`)
+    keep the walks in C too.
     """
 
     kind = "native"
@@ -364,6 +376,18 @@ class NativeWordBackend(NumpyWordBackend):
                 slab[pi] = plane
         return slabs
 
+    def _run_pass(self, compiled, input_planes, n_planes) -> List[np.ndarray]:
+        """One 7-valued (4 planes) or 10-valued (5 planes) native pass."""
+        if len(input_planes) != compiled.n_inputs:
+            raise ValueError(
+                f"expected {compiled.n_inputs} input planes, got {len(input_planes)}"
+            )
+        slabs = self._pass_slabs(compiled, input_planes, n_planes)
+        ffi, lib, ctx = _bind(compiled)
+        run = lib.repro_planes7_pass if n_planes == 4 else lib.repro_planes10_pass
+        run(ctx, *(_buf(ffi, slab) for slab in slabs), slabs[0].shape[1])
+        return slabs
+
     def simulate_logic(
         self, compiled: CompiledCircuit, input_bits: np.ndarray
     ) -> np.ndarray:
@@ -377,47 +401,21 @@ class NativeWordBackend(NumpyWordBackend):
         n_words = input_bits.shape[1]
         values = np.zeros((compiled.n_signals, n_words), dtype=np.uint64)
         values[compiled.input_index] = input_bits
-        module = native_module(compiled)
-        module.lib.repro_logic_pass(_u64_ptr(module.ffi, values), n_words)
+        ffi, lib, ctx = _bind(compiled)
+        lib.repro_logic_pass(ctx, _buf(ffi, values), n_words)
         return values
 
     def simulate_planes7(
         self, compiled: CompiledCircuit, input_planes: Sequence[PlanesLike]
     ) -> List[PlanesLike]:
-        if len(input_planes) != compiled.n_inputs:
-            raise ValueError(
-                f"expected {compiled.n_inputs} input planes, got {len(input_planes)}"
-            )
-        slabs = self._pass_slabs(compiled, input_planes, 4)
-        module = native_module(compiled)
-        ffi = module.ffi
-        module.lib.repro_planes7_pass(
-            *(_u64_ptr(ffi, slab) for slab in slabs), slabs[0].shape[1]
-        )
-        zero, one, stable, instable = slabs
-        return [
-            (zero[s], one[s], stable[s], instable[s])
-            for s in range(compiled.n_signals)
-        ]
+        slabs = self._run_pass(compiled, input_planes, 4)
+        return [tuple(slab[s] for slab in slabs) for s in range(compiled.n_signals)]
 
     def simulate_planes10(
         self, compiled: CompiledCircuit, input_planes: Sequence[PlanesLike]
     ) -> List[PlanesLike]:
-        if len(input_planes) != compiled.n_inputs:
-            raise ValueError(
-                f"expected {compiled.n_inputs} input planes, got {len(input_planes)}"
-            )
-        slabs = self._pass_slabs(compiled, input_planes, 5)
-        module = native_module(compiled)
-        ffi = module.ffi
-        module.lib.repro_planes10_pass(
-            *(_u64_ptr(ffi, slab) for slab in slabs), slabs[0].shape[1]
-        )
-        zero, one, stable, instable, hazard = slabs
-        return [
-            (zero[s], one[s], stable[s], instable[s], hazard[s])
-            for s in range(compiled.n_signals)
-        ]
+        slabs = self._run_pass(compiled, input_planes, 5)
+        return [tuple(slab[s] for slab in slabs) for s in range(compiled.n_signals)]
 
     # ------------------------------------------------------------------
     # fault-batch inner loops (one Python call per batch)
@@ -433,33 +431,28 @@ class NativeWordBackend(NumpyWordBackend):
 
         One 7-valued forward pass plus the whole per-fault detection
         walk (launch, off-path side conditions, early-out, validity
-        masking) inside the native module; returns Python-int lane
-        masks index-aligned with *faults*, bit-identical to the
-        interpreted oracle walk.
+        masking) in C; returns Python-int lane masks index-aligned
+        with *faults*, bit-identical to the interpreted oracle walk.
         """
-        slabs = self._pass_slabs(compiled, packed.planes7(), 4)
-        n_words = slabs[0].shape[1]
-        module = native_module(compiled)
-        ffi = module.ffi
-        lib = module.lib
-        lib.repro_planes7_pass(
-            *(_u64_ptr(ffi, slab) for slab in slabs), n_words
-        )
+        slabs = self._run_pass(compiled, packed.planes7(), 4)
         if not faults:
             return []
+        n_words = slabs[0].shape[1]
+        ffi, lib, ctx = _bind(compiled)
         flat, offsets, final_one = _path_arrays(faults)
         valid = np.ascontiguousarray(packed.lane_valid(), dtype=np.uint64)
         out = np.zeros((len(faults), n_words), dtype=np.uint64)
         lib.repro_detect_walk(
-            *(_u64_ptr(ffi, slab) for slab in slabs),
+            ctx,
+            *(_buf(ffi, slab) for slab in slabs),
             n_words,
-            _i32_ptr(ffi, flat),
-            _i32_ptr(ffi, offsets),
-            ffi.cast("uint8_t *", ffi.from_buffer(final_one)),
+            _buf(ffi, flat),
+            _buf(ffi, offsets),
+            _buf(ffi, final_one),
             len(faults),
             int(robust),
-            _u64_ptr(ffi, valid),
-            _u64_ptr(ffi, out),
+            _buf(ffi, valid),
+            _buf(ffi, out),
         )
         return rows_to_ints(out)
 
@@ -475,79 +468,69 @@ class NativeWordBackend(NumpyWordBackend):
         inputs10 = [
             (z, o, s, i, valid) for z, o, s, i in packed.planes7()
         ]
-        slabs = self._pass_slabs(compiled, inputs10, 5)
-        n_words = slabs[0].shape[1]
-        module = native_module(compiled)
-        ffi = module.ffi
-        lib = module.lib
-        lib.repro_planes10_pass(
-            *(_u64_ptr(ffi, slab) for slab in slabs), n_words
-        )
+        slabs = self._run_pass(compiled, inputs10, 5)
         if not faults:
             return []
+        n_words = slabs[0].shape[1]
+        ffi, lib, ctx = _bind(compiled)
         flat, offsets, final_one = _path_arrays(faults)
-        out_nr = np.zeros((len(faults), n_words), dtype=np.uint64)
-        out_r = np.zeros_like(out_nr)
-        out_st = np.zeros_like(out_nr)
+        outs = [
+            np.zeros((len(faults), n_words), dtype=np.uint64) for _ in range(3)
+        ]
         lib.repro_strength_walk(
-            *(_u64_ptr(ffi, slab) for slab in slabs),
+            ctx,
+            *(_buf(ffi, slab) for slab in slabs),
             n_words,
-            _i32_ptr(ffi, flat),
-            _i32_ptr(ffi, offsets),
-            ffi.cast("uint8_t *", ffi.from_buffer(final_one)),
+            _buf(ffi, flat),
+            _buf(ffi, offsets),
+            _buf(ffi, final_one),
             len(faults),
-            _u64_ptr(ffi, valid),
-            _u64_ptr(ffi, out_nr),
-            _u64_ptr(ffi, out_r),
-            _u64_ptr(ffi, out_st),
+            _buf(ffi, valid),
+            *(_buf(ffi, out) for out in outs),
         )
-        return list(
-            zip(rows_to_ints(out_nr), rows_to_ints(out_r), rows_to_ints(out_st))
-        )
+        return list(zip(*(rows_to_ints(out) for out in outs)))
 
 
 class NativeConeSimulator:
-    """Per-fault stuck-at cone resimulation inside the native module.
+    """Stuck-at cone resimulation of a fault batch in one native call.
 
     The native counterpart of the per-site compiled Python bodies
     (:func:`repro.kernel.codegen.cone_fault_fn`): the good-machine
-    slab is computed once per batch by :meth:`NativeWordBackend.
-    simulate_logic`; each fault then costs one ``repro_stuck_cone``
-    call — cone interpretation, fault forcing and output-difference
-    reduction all in C.  The scratch slab is grown once to the largest
-    cone seen and reused across faults.
+    slab comes from :meth:`NativeWordBackend.simulate_logic`; the
+    batch's per-site cone records (:func:`cone_record`) are
+    concatenated and ``repro_stuck_cones`` forces each site,
+    re-evaluates its cone and reduces the output differences in C.
     """
 
     def __init__(self, compiled: CompiledCircuit):
         self.compiled = compiled
-        self.module = native_module(compiled)
-        self._scratch = np.empty(0, dtype=np.uint64)
+        self.ffi, self.lib, _ctx = _bind(compiled)
 
-    def diff_mask(self, good: np.ndarray, site: int, forced_one: bool) -> int:
-        """Lane mask of output differences when *site* is forced."""
-        compiled = self.compiled
+    def diff_masks(
+        self, good: np.ndarray, sites: Sequence[int], forced_one: Sequence[bool]
+    ) -> List[int]:
+        """Per fault, the lane mask of output differences when
+        ``sites[k]`` is forced to ``forced_one[k]``."""
+        if not sites:
+            return []
+        records = [cone_record(self.compiled, site) for site in sites]
+        offsets = np.zeros(len(records) + 1, dtype=np.int32)
+        np.cumsum([len(r) for r in records], out=offsets[1:])
         n_words = good.shape[1]
-        codes, out_slots, fanin_flat, fanin_off, po_sig, po_slot, n_slots = (
-            cone_step_arrays(compiled, site)
+        # slots = site + steps, so the widest cone sizes the scratch
+        scratch = np.empty(
+            (1 + max(int(r[0]) for r in records)) * n_words, dtype=np.uint64
         )
-        needed = n_slots * n_words
-        if self._scratch.size < needed:
-            self._scratch = np.empty(needed, dtype=np.uint64)
-        diff = np.zeros(n_words, dtype=np.uint64)
-        ffi = self.module.ffi
-        self.module.lib.repro_stuck_cone(
-            _u64_ptr(ffi, good),
+        diff = np.zeros((len(records), n_words), dtype=np.uint64)
+        ffi = self.ffi
+        self.lib.repro_stuck_cones(
+            _buf(ffi, np.ascontiguousarray(good)),
             n_words,
-            _i32_ptr(ffi, codes),
-            _i32_ptr(ffi, out_slots),
-            _i32_ptr(ffi, fanin_flat),
-            _i32_ptr(ffi, fanin_off),
-            len(codes),
-            _u64_ptr(ffi, self._scratch),
-            0xFFFFFFFFFFFFFFFF if forced_one else 0,
-            _i32_ptr(ffi, po_sig),
-            _i32_ptr(ffi, po_slot),
-            len(po_sig),
-            _u64_ptr(ffi, diff),
+            _buf(ffi, np.concatenate(records)),
+            _buf(ffi, offsets),
+            _buf(ffi, np.asarray(forced_one, dtype=np.uint8)),
+            len(records),
+            _buf(ffi, scratch),
+            _buf(ffi, diff),
         )
-        return words_to_int(diff)
+        return rows_to_ints(diff)

@@ -291,9 +291,10 @@ class DelayFaultSimulator:
             (default) — ``auto`` runs batches larger than one machine
             word on the numpy multi-word backend and everything else
             on Python-int words; ``native`` runs the whole batch —
-            forward pass *and* per-fault detection walk — inside the
-            circuit's compiled-C module (falls back to numpy with a
-            one-time warning when no C toolchain is present).
+            forward pass *and* per-fault detection walk — in the
+            native kernel (falls back to numpy with a one-time warning
+            when no C compiler is present).  Under ``fusion="interp"``
+            every backend runs the interpreted oracle loop.
         fusion: execution strategy of the chosen backend —
             ``"interp"`` (the per-gate oracle loop), ``"vector"``
             (level-vectorized fused groups, numpy), ``"codegen"``
@@ -556,7 +557,7 @@ def strength_masks_all(
     the per-fault oracle walk; fused strategies share on-path edge
     conditions across faults (:func:`_strength_masks_batched`);
     ``backend="native"`` runs the pass and the three-class walk
-    inside the circuit's compiled-C module.
+    in the native kernel.
 
     Like :meth:`DelayFaultSimulator.detection_masks`, *patterns* may
     be a pre-built :class:`PackedPatterns` batch to skip the per-call

@@ -19,12 +19,14 @@ Two execution strategies, selected by the ``fusion`` option:
   per-gate dispatch, memoized on the compiled circuit so the sa0/sa1
   pair and every simulator over the same circuit share it.
 
-Orthogonally, ``backend="native"`` moves the whole workload into the
-circuit's compiled-C module (:mod:`repro.kernel.native`): the good
-machine runs as the native two-valued pass over uint64 lane slabs and
-each fault's cone resimulation plus output-difference reduction is
-one ``repro_stuck_cone`` call.  Without a C toolchain it degrades to
-the default Python-int path with a one-time warning.
+Orthogonally, the native kernel (:mod:`repro.kernel.native`) runs
+the whole workload in C: the good machine as the native two-valued
+pass over uint64 lane slabs, then one ``repro_stuck_cones`` call per
+fault batch for every cone resimulation and output-difference
+reduction.  ``backend="auto"`` picks it whenever the library is
+available and ``fusion`` is not ``"interp"``; otherwise ``auto`` is
+the Python-int path, silently, while an explicit ``"native"`` warns
+once.
 
 All strategies are cross-checked bit-identical in
 ``tests/test_fusion.py``.  The interpreted cone plans are cached on
@@ -41,14 +43,20 @@ import numpy as np
 from ..circuit import Circuit
 from ..kernel.backends import FUSION_MODES, eval_gate_word
 from ..kernel.codegen import cone_fault_fn
+from ..kernel.native import (
+    NativeConeSimulator,
+    NativeWordBackend,
+    native_available,
+    resolve_backend,
+    warn_native_fallback,
+)
 from ..kernel.packed import pack_bits
 from ..logic.words import mask_for
 from ..core.stuck_at import StuckAtFault
 from .logic_sim import pack_vectors, simulate_words
 
-#: Backend choices of :class:`StuckAtSimulator` (``"auto"`` is the
-#: Python-int word path — stuck-at grading batches are usually one
-#: machine word; ``"native"`` is opt-in compiled C).
+#: Backend choices of :class:`StuckAtSimulator` (``"auto"`` is native
+#: where available, else the Python-int path; ``"int"`` pins Python).
 STUCK_AT_BACKENDS = ("auto", "int", "native")
 
 
@@ -60,10 +68,11 @@ class StuckAtSimulator:
         fusion: execution strategy — ``"interp"`` runs the per-gate
             cone walk, everything else the per-cone compiled bodies
             (``"auto"``, the default, is fused).
-        backend: ``"auto"``/``"int"`` run Python-int lane words;
-            ``"native"`` runs good-machine pass and cone resims in
-            the circuit's compiled-C module (numpy-slab words), with
-            graceful fallback when no C toolchain is present.
+        backend: ``"int"`` runs Python-int lane words; ``"native"``
+            runs good-machine pass and cone resims in the native
+            kernel (numpy-slab words), with graceful fallback when no
+            C compiler is present; ``"auto"`` (default) is native when
+            available and *fusion* is not ``"interp"``, else int.
     """
 
     def __init__(
@@ -81,14 +90,8 @@ class StuckAtSimulator:
         self.fusion = fusion
         self.backend = backend
         self._fused = fusion != "interp"
-        self._native_cones: Optional[object] = None
-        if backend == "native":
-            from ..kernel.native import (
-                NativeConeSimulator,
-                native_available,
-                warn_native_fallback,
-            )
-
+        self._native_cones: Optional[NativeConeSimulator] = None
+        if self._fused and resolve_backend(backend, fusion) == "native":
             if native_available():
                 self._native_cones = NativeConeSimulator(self.compiled)
             else:
@@ -178,18 +181,16 @@ class StuckAtSimulator:
         faults: List[StuckAtFault],
         width: int,
     ) -> Dict[StuckAtFault, int]:
-        """The compiled-C path: native good pass + C cone resims."""
-        from ..kernel.native import NativeWordBackend
-
+        """The native path: good pass + one batched cone-resim call."""
         bits = pack_bits(np.asarray(vectors, dtype=np.uint8))
         good = NativeWordBackend(width).simulate_logic(self.compiled, bits)
         mask = mask_for(width)
-        cones = self._native_cones
-        return {
-            fault: cones.diff_mask(good, fault.signal, bool(fault.value))
-            & mask
-            for fault in faults
-        }
+        diffs = self._native_cones.diff_masks(
+            good,
+            [fault.signal for fault in faults],
+            [fault.value for fault in faults],
+        )
+        return {fault: diff & mask for fault, diff in zip(faults, diffs)}
 
     def detects(self, vector: Sequence[int], fault: StuckAtFault) -> bool:
         return bool(self.detected_faults([vector], [fault])[fault])

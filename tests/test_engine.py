@@ -252,3 +252,47 @@ class TestOptions:
             faults
         )
         assert 0.0 <= summary["efficiency_%"] <= 100.0
+
+
+class TestObjectiveGrouping:
+    """``objective_group`` derives the gate's missing planes once and
+    groups lanes with word operations; it must pick exactly the lanes
+    the per-lane :func:`objective_for_lane` rule would."""
+
+    @staticmethod
+    def per_lane_group(state, signal, lanemask, rep):
+        from repro.core.fptpg import objective_for_lane
+
+        rep_objective = objective_for_lane(state, signal, rep)
+        if rep_objective is None:
+            return None, 1 << rep
+        group = 0
+        for lane in range(lanemask.bit_length()):
+            if (lanemask >> lane) & 1 and objective_for_lane(
+                state, signal, lane
+            ) == rep_objective:
+                group |= 1 << lane
+        return rep_objective, group
+
+    @pytest.mark.parametrize("test_class", list(TestClass))
+    def test_groups_match_per_lane_objectives(self, monkeypatch, test_class):
+        from repro.core import fptpg
+        from repro.paths import fault_list
+
+        original = fptpg.objective_group
+        checked = []
+
+        def checking(state, signal, lanemask, rep):
+            got = original(state, signal, lanemask, rep)
+            assert got == self.per_lane_group(state, signal, lanemask, rep)
+            checked.append(bin(got[1]).count("1"))
+            return got
+
+        monkeypatch.setattr(fptpg, "objective_group", checking)
+        for seed in range(4):
+            circuit = random_dag(n_inputs=8, n_gates=60, seed=seed)
+            faults = fault_list(circuit, cap=64)
+            for start in range(0, len(faults), 32):
+                fptpg.run_fptpg(circuit, faults[start : start + 32], test_class, 32)
+        assert checked
+        assert max(checked) > 1  # some groups span several lanes

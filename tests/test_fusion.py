@@ -198,8 +198,12 @@ class TestStuckAtStrategies:
         oracle = StuckAtSimulator(circuit, fusion="interp").detected_faults(
             vectors, faults
         )
-        for fusion in ("codegen", "auto"):
-            sim = StuckAtSimulator(circuit, fusion=fusion)
+        # backend="int" pins the Python cone bodies; "auto" is native
+        # wherever the library is available
+        for fusion, backend in (
+            ("codegen", "int"), ("auto", "int"), ("auto", "auto")
+        ):
+            sim = StuckAtSimulator(circuit, fusion=fusion, backend=backend)
             assert sim.detected_faults(vectors, faults) == oracle, fusion
             # repeated calls serve from the same memoized cone bodies
             assert sim.detected_faults(vectors, faults) == oracle, fusion

@@ -378,15 +378,14 @@ def _evaluate_with_forced(circuit, vector, fault):
 
 class TestNativeSelection:
     def test_fallback_warns_once_and_returns_numpy(self, monkeypatch):
-        """Without a toolchain, prefer="native" degrades with one warning."""
+        """Without the library, prefer="native" degrades with one warning."""
         import warnings
 
         from repro.kernel import NativeBackendUnavailableWarning, backend_for
         from repro.kernel import native as native_mod
 
-        monkeypatch.setattr(
-            native_mod, "_probe_result", (False, "forced by test")
-        )
+        monkeypatch.setattr(native_mod, "_library", None)
+        monkeypatch.setattr(native_mod, "_failure", "forced by test")
         monkeypatch.setattr(native_mod, "_warned_fallback", False)
         with pytest.warns(NativeBackendUnavailableWarning, match="forced by test"):
             backend = backend_for(8, "native")
@@ -407,30 +406,30 @@ class TestNativeSelection:
 
         assert isinstance(backend_for(8, "native"), NativeWordBackend)
         assert isinstance(backend_for(200, "native"), NativeWordBackend)
+        # the interpreted oracle never runs native code
+        assert type(backend_for(200, "native", "interp")) is NumpyWordBackend
 
     @pytest.mark.skipif(
         not pytest.importorskip("repro.kernel.native").native_available(),
         reason="no C toolchain: native word backend unavailable",
     )
     def test_compiled_circuit_pickles_after_native_build(self):
-        """The module memo lives in _fusion_cache, which pickling drops."""
+        """The per-circuit context lives in _fusion_cache, which
+        pickling drops; the clone binds the same library again."""
         import pickle
 
-        from repro.kernel import NativeWordBackend, native_module, plan_hash
+        from repro.kernel import NativeWordBackend, native_module
 
         circuit = make_circuit(23)
         compiled = circuit.compiled()
-        module = native_module(compiled)
-        assert compiled._fusion_cache["native_module"] is module
-        # same structural hash -> the very same in-process module object
-        assert native_module(circuit.compiled()) is module
-        clone = pickle.loads(pickle.dumps(compiled))
-        assert "native_module" not in clone._fusion_cache
-        assert plan_hash(clone) == plan_hash(compiled)
-        # the clone rebuilds/reloads and simulates identically
         vectors = [[lane & 1 for _ in circuit.inputs] for lane in range(8)]
         bits = pack_bits(np.asarray(vectors, dtype=np.uint8))
+        NativeWordBackend(8).simulate_logic(compiled, bits)
+        assert compiled._fusion_cache["native_ctx"][1] is native_module().lib
+        clone = pickle.loads(pickle.dumps(compiled))
+        assert "native_ctx" not in clone._fusion_cache
         values = NativeWordBackend(8).simulate_logic(clone, bits)
+        assert clone._fusion_cache["native_ctx"][1] is native_module().lib
         oracle = IntWordBackend(8).simulate_logic(compiled, pack_vectors(vectors))
         valid = (1 << 8) - 1
         assert [int(row[0]) & valid for row in values] == [
